@@ -137,8 +137,8 @@ class PauliChannel:
             if isinstance(s, str):
                 s = parse(s)
             w = float(w)
-            if w < 0:
-                raise ValueError(f"negative weight {w} on {s}")
+            if not w >= 0:
+                raise ValueError(f"negative or NaN weight {w} on {s}")
             by_string.setdefault(s, []).append(w)
         if not by_string:
             raise ValueError("channel needs at least one term")
@@ -147,7 +147,7 @@ class PauliChannel:
             raise ValueError(f"mixed qubit counts in channel: {sorted(ns)}")
         merged = [(math.fsum(ws), s) for s, ws in by_string.items()]
         total = math.fsum(w for w, _ in merged)
-        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         merged = [(w, s) for w, s in merged if w != 0.0]
         merged.sort(key=lambda ws: ws[1].text)
@@ -255,15 +255,19 @@ def apply_pauli_channel(channel: PauliChannel, rho: DensityMatrix) -> DensityMat
         raise ValueError(
             f"state dim {rho.dim} incompatible with {channel.n_qubits} qubits"
         )
-    out = _apply_pauli_channel_raw(channel, rho.matrix)
-    return DensityMatrix(out)
+    return DensityMatrix(_apply_channel_raw(channel, rho.matrix))
 
 
-def _apply_pauli_channel_raw(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
+def _apply_channel_raw(channel: PauliChannel | KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag on a bare matrix, hermitized; no validation."""
     out = np.zeros_like(rho)
-    for w, s in channel.terms:
-        m = to_matrix(s)
-        out += w * (m @ rho @ m)
+    if isinstance(channel, PauliChannel):
+        for w, s in channel.terms:
+            m = to_matrix(s)
+            out += w * (m @ rho @ m)
+    else:
+        for op in channel.operators:
+            out += op @ rho @ op.conj().T
     return (out + out.conj().T) / 2
 
 
@@ -271,13 +275,9 @@ def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_k K_k rho K_k^dag; trace preserved within the completeness defect."""
     if rho.dim != channel.dim:
         raise ValueError(f"state dim {rho.dim} != channel dim {channel.dim}")
-    out = np.zeros_like(rho.matrix)
-    for op in channel.operators:
-        out += op @ rho.matrix @ op.conj().T
-    out = (out + out.conj().T) / 2
     slack = 2 * channel.completeness_defect
     return DensityMatrix(
-        out,
+        _apply_channel_raw(channel, rho.matrix),
         trace_atol=TRACE_ATOL + slack,
         eig_floor=EIGENVALUE_FLOOR - slack,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, PauliChannel, _apply_pauli_channel_raw
+from .channels import DensityMatrix, KrausChannel, PauliChannel, _apply_channel_raw
 from .pauli import to_matrix
 
 __all__ = [
@@ -134,15 +134,6 @@ class CertificateReport:
         return all(c.satisfied for c in self.checks)
 
 
-def _apply(channel: PauliChannel | KrausChannel, rho: np.ndarray) -> np.ndarray:
-    if isinstance(channel, PauliChannel):
-        return _apply_pauli_channel_raw(channel, rho)
-    out = np.zeros_like(rho)
-    for op in channel.operators:
-        out += op @ rho @ op.conj().T
-    return (out + out.conj().T) / 2
-
-
 def _dim_of(channel: PauliChannel | KrausChannel) -> int:
     return 2**channel.n_qubits if isinstance(channel, PauliChannel) else channel.dim
 
@@ -165,7 +156,9 @@ def theorem1_check(
         raise ValueError(f"dimension mismatch: channels {da}/{db}, state {rho.dim}")
     d = da
 
-    delta_out = _apply(channel_a, rho.matrix) - _apply(channel_b, rho.matrix)
+    delta_out = (
+        _apply_channel_raw(channel_a, rho.matrix) - _apply_channel_raw(channel_b, rho.matrix)
+    )
     delta_choi = choi_state(channel_a) - choi_state(channel_b)
     weighting = np.kron(np.eye(d), rho.matrix.T)
 

@@ -18,7 +18,7 @@ from .channels import DensityMatrix
 from .choi import theorem1_check
 from .clusters import analyze_cluster
 from .dynamics import BenchmarkConfig, default_noise_channel, default_target_channel, run_benchmark
-from .encoder import OverEncodedError, effective_channel, encode_adaptive, encode_fixed
+from .encoder import OverEncodedError, effective_channel, encode
 from .pauli import PauliParseError, parse
 from .sampling import run_trials
 from .serialize import (
@@ -34,7 +34,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .validation import InvariantViolation, check_conservation, check_decomposition
+from .validation import InvariantViolation, audit_encoding
 
 __all__ = ["EXIT_INVARIANT", "EXIT_NO_CONVERGENCE", "EXIT_OK", "EXIT_USAGE", "entry", "main"]
 
@@ -132,18 +132,12 @@ def build_parser() -> _ArgumentParser:
 def _cmd_encode(args: argparse.Namespace) -> int:
     target = load_channel(args.target)
     noise = load_channel(args.noise)
-    if args.mode == "fixed":
-        if args.node is None:
-            raise ValueError("--mode fixed requires --node")
-        result = encode_fixed(
-            target, noise, parse(args.node), tol=args.tol, max_iters=args.max_iters
-        )
-    else:
-        result = encode_adaptive(target, noise, tol=args.tol, max_iters=args.max_iters)
+    result = encode(
+        target, noise, mode=args.mode, node=args.node, tol=args.tol, max_iters=args.max_iters
+    )
     write_json(encoding_to_dict(result), args.out)
-    check_conservation(result)
     try:
-        check_decomposition(result)
+        audit_encoding(result)
         if args.effective_out:
             save_channel(effective_channel(result), args.effective_out)
     except OverEncodedError as exc:
@@ -247,8 +241,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     write_csv(benchmark_rows(result), args.out)
     if args.encoding_out:
         write_json(encoding_to_dict(result.encoding), args.encoding_out)
-    check_conservation(result.encoding)
-    check_decomposition(result.encoding)
+    audit_encoding(result.encoding)
     print(
         f"benchmark: {config.n_sites} sites, {config.n_steps} steps, "
         f"max occupation gap {result.max_gap:.6g}"

@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, PauliChannel, _apply_pauli_channel_raw
-from .encoder import EncodingResult, effective_channel, encode_adaptive, encode_fixed
-from .pauli import identity, parse
+from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
+from .encoder import EncodingResult, effective_channel, encode
+from .pauli import identity
 
 __all__ = [
     "BenchmarkConfig",
@@ -162,7 +162,7 @@ def evolve_occupations(
         for u in unitaries:
             rho = u @ rho @ u.conj().T
         if channel is not None:
-            rho = _apply_pauli_channel_raw(channel, rho)
+            rho = _apply_channel_raw(channel, rho)
         out[step] = site_occupations(rho, n_sites)
     return out
 
@@ -218,16 +218,10 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
         raise ValueError(
             f"initial label {cfg.initial!r} has {len(cfg.initial)} sites, expected {cfg.n_sites}"
         )
-    if cfg.encoder == "fixed":
-        if cfg.node is None:
-            raise ValueError("fixed encoding needs a node string")
-        encoding = encode_fixed(
-            cfg.target, cfg.noise, parse(cfg.node), tol=cfg.tol, max_iters=cfg.max_iters
-        )
-    elif cfg.encoder == "adaptive":
-        encoding = encode_adaptive(cfg.target, cfg.noise, tol=cfg.tol, max_iters=cfg.max_iters)
-    else:
-        raise ValueError(f"unknown encoder {cfg.encoder!r}")
+    encoding = encode(
+        cfg.target, cfg.noise,
+        mode=cfg.encoder, node=cfg.node, tol=cfg.tol, max_iters=cfg.max_iters,
+    )
     effective = effective_channel(encoding)
 
     method = cfg.step_method

@@ -1,10 +1,10 @@
 """Iterative encoding of a target Pauli channel onto intrinsic noise.
 
-Both encoders keep a residue ledger: the mass of each target string still
-unaccounted for. Scheduling a node string with mass m means conjugating by
-the node with probability m; the hardware noise then dresses it, moving
-mass m * w(Q) onto (Q * node) for every noise term Q. Each iteration
-schedules one node and updates the ledger accordingly, so
+One loop, two node rules. The loop keeps a residue ledger: the mass of
+each target string still unaccounted for. Each iteration asks the rule
+for a node string and a mass m, schedules the node (conjugation with
+probability m), and lets the hardware noise dress it, which moves mass
+m * w(Q) onto (Q * node) for every noise term Q. So
 
     fsum(residues) + encoded_mass == 1
 
@@ -14,10 +14,10 @@ The identity string is exempt from targeting and from the convergence
 check: identity mass is realized for free by doing nothing, so its ledger
 entry only participates in conservation and in the adaptive mass budget.
 
-The fixed encoder reuses a single node and takes the largest positive
+The fixed rule reuses a single node and takes the largest positive
 non-identity residue among the node's one-step images as the scheduled
 mass. When the noise weights do not match the target ratios this
-deliberately overshoots and residues go negative; the adaptive encoder
+deliberately overshoots and residues go negative; the adaptive rule
 avoids that by re-deriving the node each iteration from the worst residue
 and clamping the mass to the remaining budget.
 """
@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .channels import PauliChannel
+from .channels import WEIGHT_SUM_ATOL, PauliChannel
 from .pauli import PauliString, identity, multiply, parse
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "EncodingStep",
     "OverEncodedError",
     "effective_channel",
+    "encode",
     "encode_adaptive",
     "encode_fixed",
 ]
@@ -47,8 +48,6 @@ __all__ = [
 STOP_ALL_WITHIN_TOL = "all_within_tol"
 STOP_MAX_ITERS = "max_iters"
 STOP_STALLED = "stalled"
-
-ENCODED_MASS_ATOL = 1e-9
 
 
 class OverEncodedError(ValueError):
@@ -72,10 +71,6 @@ class EncodingStep:
     node: PauliString
     mass: float
     residues: tuple[tuple[PauliString, float], ...]
-
-
-def _snapshot(ledger: Mapping[PauliString, float]) -> tuple[tuple[PauliString, float], ...]:
-    return tuple(sorted(ledger.items(), key=lambda kv: kv[0].text))
 
 
 class EncodingResult:
@@ -138,14 +133,10 @@ def _check_inputs(target: PauliChannel, noise: PauliChannel, tol: float, max_ite
         raise ValueError(
             f"target acts on {target.n_qubits} qubits, noise on {noise.n_qubits}"
         )
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-
-
-def _ledger_from_target(target: PauliChannel) -> dict[PauliString, float]:
-    return {s: w for w, s in target.terms}
 
 
 def _within_tol(ledger: Mapping[PauliString, float], tol: float) -> bool:
@@ -164,6 +155,96 @@ def _apply_schedule(
         ledger[image] = ledger.get(image, 0.0) - mass * w
 
 
+# (ledger, masses so far) -> (node, mass), or None when nothing is pending
+_NodeRule = Callable[[Mapping[PauliString, float], list[float]], tuple[PauliString, float] | None]
+
+
+def _fixed_rule(noise: PauliChannel, node: PauliString) -> _NodeRule:
+    # a set is enough: the rule only takes the maximum over the images
+    images = {multiply(q, node).string for _, q in noise.terms} - {identity(node.n_qubits)}
+
+    def pick(ledger: Mapping[PauliString, float], masses: list[float]):
+        return node, max((ledger.get(s, 0.0) for s in images), default=0.0)
+
+    return pick
+
+
+def _adaptive_rule(noise: PauliChannel, id_string: PauliString) -> _NodeRule:
+    # Q* is fixed by the noise channel; compute once
+    w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
+
+    def pick(ledger: Mapping[PauliString, float], masses: list[float]):
+        pending = [(r, s) for s, r in ledger.items() if not s.is_identity() and r > 0.0]
+        if not pending:
+            return None
+        r_star, s_star = min(pending, key=lambda rs: (-rs[0], rs[1].text))
+        budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
+        return multiply(q_star, s_star).string, min(r_star / w_star, budget)
+
+    return pick
+
+
+def encode(
+    target: PauliChannel,
+    noise: PauliChannel,
+    *,
+    mode: str = "adaptive",
+    node: PauliString | str | None = None,
+    tol: float = 1e-6,
+    max_iters: int = 1000,
+) -> EncodingResult:
+    """Schedule nodes until every non-identity residue is at most tol.
+
+    `mode` picks the node rule: "fixed" reuses `node` every iteration,
+    "adaptive" re-derives it from the worst residue and ignores `node`.
+    The run stops with STOP_ALL_WITHIN_TOL, STOP_MAX_ITERS, or
+    STOP_STALLED when the rule finds no positive mass to schedule.
+    """
+    _check_inputs(target, noise, tol, max_iters)
+    if mode == "fixed":
+        if node is None:
+            raise ValueError("fixed encoding needs a node string")
+        node = parse(node) if isinstance(node, str) else node
+        if node.n_qubits != target.n_qubits:
+            raise ValueError(f"node acts on {node.n_qubits} qubits, target on {target.n_qubits}")
+        if node.is_identity():
+            raise ValueError("node must not be the identity string")
+        pick = _fixed_rule(noise, node)
+    elif mode == "adaptive":
+        pick = _adaptive_rule(noise, identity(target.n_qubits))
+    else:
+        raise ValueError(f"unknown encoder mode {mode!r}")
+
+    ledger = {s: w for w, s in target.terms}
+    masses: list[float] = []
+    steps: list[EncodingStep] = []
+    while True:
+        if _within_tol(ledger, tol):
+            reason = STOP_ALL_WITHIN_TOL
+            break
+        if len(steps) >= max_iters:
+            reason = STOP_MAX_ITERS
+            break
+        picked = pick(ledger, masses)
+        if picked is None or picked[1] <= 0.0:
+            reason = STOP_STALLED
+            break
+        chosen, mass = picked
+        masses.append(mass)
+        _apply_schedule(ledger, noise, chosen, mass)
+        steps.append(EncodingStep(len(steps), chosen, mass, tuple(ledger.items())))
+
+    return EncodingResult(
+        mode=mode,
+        target=target,
+        noise=noise,
+        steps=tuple(steps),
+        residues=ledger,
+        encoded_mass=math.fsum(masses),
+        stop_reason=reason,
+    )
+
+
 def encode_fixed(
     target: PauliChannel,
     noise: PauliChannel,
@@ -179,46 +260,7 @@ def encode_fixed(
     No budget clamp is applied; with mismatched weights the total can pass
     unity, which `effective_channel` rejects.
     """
-    node = parse(node) if isinstance(node, str) else node
-    _check_inputs(target, noise, tol, max_iters)
-    if node.n_qubits != target.n_qubits:
-        raise ValueError(f"node acts on {node.n_qubits} qubits, target on {target.n_qubits}")
-    if node.is_identity():
-        raise ValueError("node must not be the identity string")
-
-    images = []
-    for _, q in noise.terms:
-        img = multiply(q, node).string
-        if not img.is_identity() and img not in images:
-            images.append(img)
-
-    ledger = _ledger_from_target(target)
-    masses: list[float] = []
-    steps: list[EncodingStep] = []
-    while True:
-        if _within_tol(ledger, tol):
-            reason = STOP_ALL_WITHIN_TOL
-            break
-        if len(steps) >= max_iters:
-            reason = STOP_MAX_ITERS
-            break
-        mass = max((ledger.get(s, 0.0) for s in images), default=0.0)
-        if mass <= 0.0:
-            reason = STOP_STALLED
-            break
-        masses.append(mass)
-        _apply_schedule(ledger, noise, node, mass)
-        steps.append(EncodingStep(len(steps), node, mass, _snapshot(ledger)))
-
-    return EncodingResult(
-        mode="fixed",
-        target=target,
-        noise=noise,
-        steps=tuple(steps),
-        residues=ledger,
-        encoded_mass=math.fsum(masses),
-        stop_reason=reason,
-    )
+    return encode(target, noise, mode="fixed", node=node, tol=tol, max_iters=max_iters)
 
 
 def encode_adaptive(
@@ -237,47 +279,7 @@ def encode_adaptive(
     s* exactly whenever the budget allows and can never push the total
     past unity.
     """
-    _check_inputs(target, noise, tol, max_iters)
-    id_string = identity(target.n_qubits)
-    # Q* is fixed by the noise channel; compute once
-    w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
-
-    ledger = _ledger_from_target(target)
-    masses: list[float] = []
-    steps: list[EncodingStep] = []
-    while True:
-        if _within_tol(ledger, tol):
-            reason = STOP_ALL_WITHIN_TOL
-            break
-        if len(steps) >= max_iters:
-            reason = STOP_MAX_ITERS
-            break
-        pending = [
-            (r, s) for s, r in ledger.items() if not s.is_identity() and r > 0.0
-        ]
-        if not pending:
-            reason = STOP_STALLED
-            break
-        r_star, s_star = min(pending, key=lambda rs: (-rs[0], rs[1].text))
-        budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
-        mass = min(r_star / w_star, budget)
-        if mass <= 0.0:
-            reason = STOP_STALLED
-            break
-        node = multiply(q_star, s_star).string
-        masses.append(mass)
-        _apply_schedule(ledger, noise, node, mass)
-        steps.append(EncodingStep(len(steps), node, mass, _snapshot(ledger)))
-
-    return EncodingResult(
-        mode="adaptive",
-        target=target,
-        noise=noise,
-        steps=tuple(steps),
-        residues=ledger,
-        encoded_mass=math.fsum(masses),
-        stop_reason=reason,
-    )
+    return encode(target, noise, mode="adaptive", tol=tol, max_iters=max_iters)
 
 
 def effective_channel(result: EncodingResult) -> PauliChannel:
@@ -288,15 +290,15 @@ def effective_channel(result: EncodingResult) -> PauliChannel:
     contributions are fsum-ed in schedule order, so equal schedules give
     bitwise-equal channels.
     """
-    if result.encoded_mass > 1.0 + ENCODED_MASS_ATOL:
-        raise OverEncodedError(result.encoded_mass)
     contribs: dict[PauliString, list[float]] = {}
     for step in result.steps:
         for w, q in result.noise.terms:
             image = multiply(q, step.node).string
             contribs.setdefault(image, []).append(step.mass * w)
     terms = [(math.fsum(parts), s) for s, parts in contribs.items()]
-    remainder = 1.0 - math.fsum(w for w, _ in terms)
-    id_string = identity(result.target.n_qubits)
-    terms.append((max(remainder, 0.0), id_string))
+    total = math.fsum(w for w, _ in terms)
+    # the same tolerance PauliChannel applies to its weight sum
+    if total > 1.0 + WEIGHT_SUM_ATOL:
+        raise OverEncodedError(total)
+    terms.append((max(1.0 - total, 0.0), identity(result.target.n_qubits)))
     return PauliChannel(terms)

@@ -61,9 +61,14 @@ def write_json(data: Any, path: str | os.PathLike) -> None:
     atomic_write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_json(path: str | os.PathLike) -> Any:
+    """Parse a JSON file, refusing the NaN and Infinity literals."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _cell(value: Any) -> str:

@@ -44,6 +44,10 @@ def test_channel_validation():
         PauliChannel([(-0.1, "X"), (1.1, "I")])
     with pytest.raises(ValueError):
         PauliChannel([(0.5, "X"), (0.5, "XX")])
+    with pytest.raises(ValueError):
+        PauliChannel([(math.nan, "I"), (1.0, "X")])
+    with pytest.raises(ValueError):
+        PauliChannel([(math.inf, "I"), (1.0, "X")])
 
 
 def test_apply_matches_dense_oracle():

@@ -178,10 +178,24 @@ def test_missing_file_exits_one(files, capsys):
 
 def test_malformed_channel_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    for text in (
+        "{not json",
+        # json.load accepts these literals; the loader must not
+        '{"terms": [{"string": "I", "weight": NaN}, {"string": "X", "weight": 1.0}]}',
+        '{"terms": [{"string": "I", "weight": Infinity}]}',
+    ):
+        bad.write_text(text)
+        code = main([
+            "encode", "--target", str(bad), "--noise", str(bad),
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_USAGE, text
+
+
+def test_encode_nan_tol_exits_one(files):
     code = main([
-        "encode", "--target", str(bad), "--noise", str(bad),
-        "--out", str(tmp_path / "x.json"),
+        "encode", "--target", files["target"], "--noise", files["noise"],
+        "--tol", "nan", "--out", str(files["dir"] / "x.json"),
     ])
     assert code == EXIT_USAGE
 

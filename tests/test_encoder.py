@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from noisim.channels import PauliChannel
+from noisim.channels import WEIGHT_SUM_ATOL, PauliChannel
 from noisim.encoder import (
     STOP_ALL_WITHIN_TOL,
     STOP_MAX_ITERS,
     STOP_STALLED,
+    EncodingResult,
+    EncodingStep,
     OverEncodedError,
     effective_channel,
+    encode,
     encode_adaptive,
     encode_fixed,
 )
@@ -88,6 +91,21 @@ def test_fixed_can_pass_unity_and_effective_refuses():
     with pytest.raises(OverEncodedError) as err:
         effective_channel(result)
     assert err.value.over_mass == pytest.approx(result.encoded_mass - 1.0)
+
+
+def test_effective_refuses_mass_just_past_unity():
+    # 1 + 5e-10 is past the channel weight-sum tolerance, so the realized
+    # channel is over-encoded, not merely a malformed channel
+    target = PauliChannel(FOUR_WAY)
+    noise = PauliChannel(SYM_NOISE)
+    masses = (0.5, 0.5 + 5e-10)
+    steps = tuple(EncodingStep(i, parse("XZ"), m, ()) for i, m in enumerate(masses))
+    result = EncodingResult(
+        "fixed", target, noise, steps, {}, math.fsum(masses), STOP_MAX_ITERS
+    )
+    with pytest.raises(OverEncodedError) as err:
+        effective_channel(result)
+    assert err.value.over_mass == pytest.approx(5e-10, rel=1e-3)
 
 
 def test_effective_channel_of_adaptive_run():
@@ -169,11 +187,22 @@ def test_input_validation():
         encode_adaptive(target, noise, max_iters=-1)
     with pytest.raises(ValueError):
         encode_adaptive(target, PauliChannel([(1.0, "X")]))
+    with pytest.raises(ValueError):
+        encode_adaptive(target, noise, tol=math.nan)
+    with pytest.raises(ValueError):
+        encode(target, noise, mode="best")
+    with pytest.raises(ValueError):
+        encode(target, noise, mode="fixed")
 
 
 def test_last_snapshot_equals_final_residues():
-    result = encode_adaptive(PauliChannel(FOUR_WAY), PauliChannel(SYM_NOISE), tol=0.1)
-    assert dict(result.steps[-1].residues) == dict(result.residues)
+    for mode in ("fixed", "adaptive"):
+        result = encode(
+            PauliChannel(FOUR_WAY), PauliChannel(SYM_NOISE), mode=mode, node="XZ", tol=0.1
+        )
+        assert result.mode == mode
+        assert result.iterations > 0
+        assert dict(result.steps[-1].residues) == dict(result.residues)
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -197,7 +226,7 @@ def test_random_runs_conserve_mass_and_decompose(seed, mode):
     total = math.fsum(list(result.residues.values()) + [result.encoded_mass])
     assert abs(total - 1.0) < 1e-10
     assert result.encoded_mass >= 0.0
-    if result.encoded_mass <= 1.0 + 1e-9:
+    if result.encoded_mass <= 1.0 + WEIGHT_SUM_ATOL:
         eff = effective_channel(result)
         assert all(w >= 0.0 for w, _ in eff.terms)
         for s in set(target.support) | set(eff.support):
