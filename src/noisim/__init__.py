@@ -1,45 +1,24 @@
 """Simulate open-system dynamics by encoding Pauli channels onto hardware noise.
 
-The package splits into Pauli algebra (`pauli`), channel containers and
-Lindblad tools (`channels`), the encoding algorithms (`encoder`), noise
+The package splits into Pauli algebra (`pauli`), density matrices and Pauli
+channels (`channels`), the encoding algorithms (`encoder`), noise
 orbit analysis (`clusters`), Choi-state error certificates (`choi`),
 exciton chain dynamics (`dynamics`), Monte Carlo sampling (`sampling`),
 and file I/O (`serialize`). The `noisim` console script fronts the same
 functionality.
 """
 
-from .channels import (
-    DensityMatrix,
-    KrausChannel,
-    LindbladSpec,
-    PauliChannel,
-    apply_kraus,
-    apply_pauli_channel,
-    compose,
-    evolve_lindblad_rk4,
-    lindblad_rhs,
-    lindblad_to_kraus,
-    mix,
-    twirl,
-)
+from .channels import DensityMatrix, PauliChannel, apply_pauli_channel
 from .choi import (
     CertificateCheck,
     CertificateReport,
     apply_from_choi,
     choi_state,
     renyi_entropy,
-    schatten_distance,
     schatten_norm,
     theorem1_check,
 )
-from .clusters import (
-    Cluster,
-    analyze_cluster,
-    channels_per_iteration,
-    lift_noise_nn,
-    orbit,
-    product_strings_over_pairs,
-)
+from .clusters import Cluster, analyze_cluster, orbit
 from .dynamics import (
     BenchmarkConfig,
     BenchmarkResult,
@@ -69,10 +48,9 @@ from .pauli import (
     identity,
     multiply,
     parse,
-    tensor,
     to_matrix,
 )
-from .sampling import SampleReport, run_trials, sample_strings
+from .sampling import SampleReport, run_trials
 from .validation import InvariantViolation, audit_encoding, check_conservation, check_decomposition
 
 __version__ = "0.1.0"
@@ -87,8 +65,6 @@ __all__ = [
     "EncodingResult",
     "EncodingStep",
     "InvariantViolation",
-    "KrausChannel",
-    "LindbladSpec",
     "OverEncodedError",
     "PauliChannel",
     "PauliParseError",
@@ -97,15 +73,12 @@ __all__ = [
     "SampleReport",
     "analyze_cluster",
     "apply_from_choi",
-    "apply_kraus",
     "apply_pauli_channel",
     "audit_encoding",
     "chain_hamiltonian",
-    "channels_per_iteration",
     "check_conservation",
     "check_decomposition",
     "choi_state",
-    "compose",
     "default_benchmark_config",
     "default_noise_channel",
     "default_target_channel",
@@ -113,29 +86,19 @@ __all__ = [
     "encode",
     "encode_adaptive",
     "encode_fixed",
-    "evolve_lindblad_rk4",
     "evolve_occupations",
     "identity",
-    "lift_noise_nn",
-    "lindblad_rhs",
-    "lindblad_to_kraus",
-    "mix",
     "multiply",
     "orbit",
     "parse",
-    "product_strings_over_pairs",
     "renyi_entropy",
     "run_benchmark",
     "run_trials",
-    "sample_strings",
     "scale_channel_weights",
-    "schatten_distance",
     "schatten_norm",
     "site_occupations",
-    "tensor",
     "theorem1_check",
     "to_matrix",
     "trotter_step_unitaries",
-    "twirl",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausChannel, PauliChannel, _apply_channel_raw
+from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
 from .pauli import to_matrix
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "apply_from_choi",
     "choi_state",
     "renyi_entropy",
-    "schatten_distance",
     "schatten_norm",
     "theorem1_check",
 ]
@@ -48,21 +47,14 @@ _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
 
-def choi_state(channel: PauliChannel | KrausChannel) -> np.ndarray:
+def choi_state(channel: PauliChannel) -> np.ndarray:
     """Unit-trace Choi state of the channel, system factor first."""
-    if isinstance(channel, PauliChannel):
-        dim = 2**channel.n_qubits
-        scaled = [math.sqrt(w) * to_matrix(s) for w, s in channel.terms]
-    elif isinstance(channel, KrausChannel):
-        dim = channel.dim
-        scaled = list(channel.operators)
-    else:
-        raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    dim = 2**channel.n_qubits
     omega = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for op in scaled:
-        # (K x I)|Omega> has entries K[i, j]/sqrt(d) at index (i, j)
-        v = np.kron(op, np.eye(dim)) @ omega
+    for w, s in channel.terms:
+        # (K x I)|Omega> has entries K[i, j]/sqrt(d) at index (i, j), K = sqrt(w) P
+        v = np.kron(math.sqrt(w) * to_matrix(s), np.eye(dim)) @ omega
         out += np.outer(v, v.conj())
     return (out + out.conj().T) / 2
 
@@ -79,7 +71,7 @@ def apply_from_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
     """(sum_k s_k**p)**(1/p) over singular values; p = inf gives max s_k."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
     sv = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     if math.isinf(p):
@@ -87,13 +79,9 @@ def schatten_norm(matrix: np.ndarray, p: float) -> float:
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
-def schatten_distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
-    return schatten_norm(np.asarray(a) - np.asarray(b), p)
-
-
 def renyi_entropy(rho: np.ndarray | DensityMatrix, p: float) -> float:
     """S_p = ln(Tr rho**p) / (1 - p); limits p=1 (von Neumann), p=inf (min)."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"Renyi order must be positive, got {p}")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     eig = np.linalg.eigvalsh(mat)
@@ -134,13 +122,9 @@ class CertificateReport:
         return all(c.satisfied for c in self.checks)
 
 
-def _dim_of(channel: PauliChannel | KrausChannel) -> int:
-    return 2**channel.n_qubits if isinstance(channel, PauliChannel) else channel.dim
-
-
 def theorem1_check(
-    channel_a: PauliChannel | KrausChannel,
-    channel_b: PauliChannel | KrausChannel,
+    channel_a: PauliChannel,
+    channel_b: PauliChannel,
     rho: DensityMatrix,
     p: float,
 ) -> CertificateReport:
@@ -149,9 +133,9 @@ def theorem1_check(
     Every reported check must hold mathematically; `satisfied` only fails
     on a genuine violation beyond rounding slack.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
-    da, db = _dim_of(channel_a), _dim_of(channel_b)
+    da, db = 2**channel_a.n_qubits, 2**channel_b.n_qubits
     if da != db or da != rho.dim:
         raise ValueError(f"dimension mismatch: channels {da}/{db}, state {rho.dim}")
     d = da

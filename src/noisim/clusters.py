@@ -14,18 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .pauli import PauliString, multiply, parse, tensor
+from .pauli import PauliString, multiply, parse
 
-__all__ = [
-    "Cluster",
-    "analyze_cluster",
-    "channels_per_iteration",
-    "lift_noise_nn",
-    "orbit",
-    "product_strings_over_pairs",
-]
+__all__ = ["Cluster", "analyze_cluster", "orbit"]
 
 
 def _as_string(s: PauliString | str) -> PauliString:
@@ -88,68 +81,3 @@ def analyze_cluster(
         all_to_all=all_to_all,
         leakage_entropy=entropy,
     )
-
-
-def lift_noise_nn(
-    pair_strings: Sequence[PauliString | str],
-    n_sites: int,
-    *,
-    overlapping: bool = False,
-) -> list[PauliString]:
-    """Embed two-site noise strings into an n_sites chain.
-
-    Default placement tiles disjoint nearest-neighbour pairs (1-2, 3-4, ...),
-    requiring even n_sites. With overlapping=True every adjacent pair
-    (1-2, 2-3, ...) receives a copy instead.
-    """
-    pairs = [_as_string(s) for s in pair_strings]
-    for s in pairs:
-        if s.n_qubits != 2:
-            raise ValueError(f"expected two-site strings, got {s.text}")
-    if n_sites < 2:
-        raise ValueError(f"need at least two sites, got {n_sites}")
-    if not overlapping and n_sites % 2:
-        raise ValueError("disjoint pairing needs an even number of sites")
-    starts = range(0, n_sites - 1) if overlapping else range(0, n_sites - 1, 2)
-    out = []
-    for start in starts:
-        for s in pairs:
-            lifted = PauliString(
-                n_sites,
-                s.x_mask << start,
-                s.z_mask << start,
-            )
-            out.append(lifted)
-    return out
-
-
-def channels_per_iteration(n_noise_strings: int, n_sites: int) -> int:
-    """Distinct non-identity products available per encoding sweep.
-
-    With m noise strings per disjoint pair and n_sites/2 pairs, products
-    over independent pairs give (m+1)**(n_sites/2) - 1 non-identity
-    combinations.
-    """
-    if n_noise_strings < 0:
-        raise ValueError("negative noise string count")
-    if n_sites < 2 or n_sites % 2:
-        raise ValueError("need an even number of sites >= 2")
-    return (n_noise_strings + 1) ** (n_sites // 2) - 1
-
-
-def product_strings_over_pairs(
-    per_pair: Sequence[PauliString | str], n_pairs: int
-) -> list[PauliString]:
-    """All tensor combinations of {II, per_pair...} across disjoint pairs.
-
-    The identity combination is dropped, so the result has
-    (len(per_pair) + 1)**n_pairs - 1 strings, matching
-    `channels_per_iteration`.
-    """
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
-    choices = [parse("II"), *(_as_string(s) for s in per_pair)]
-    combos: list[PauliString] = list(choices)
-    for _ in range(n_pairs - 1):
-        combos = [tensor(c, extra) for c in combos for extra in choices]
-    return [s for s in combos if not s.is_identity()]

@@ -16,6 +16,7 @@ decoherence rate means halving the non-identity weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
 from .encoder import EncodingResult, effective_channel, encode
-from .pauli import identity
+from .pauli import MATRIX_QUBIT_CAP, identity
 
 __all__ = [
     "BenchmarkConfig",
@@ -91,10 +92,15 @@ def trotter_step_unitaries(
     "trotter" splits into onsite, odd-bond and even-bond parts; the bond
     parts are sums of commuting two-site terms, so each factor is exact.
     "exact_exponential" returns the single full-step unitary and is a
-    small-system reference only, refused above EXACT_SITE_CAP sites.
+    small-system reference only, refused above EXACT_SITE_CAP sites. Chains
+    above MATRIX_QUBIT_CAP sites are refused before any matrix is built.
     """
-    if dt <= 0:
-        raise ValueError(f"need dt > 0, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"need finite dt > 0, got {dt}")
+    if n_sites > MATRIX_QUBIT_CAP:
+        raise ValueError(
+            f"refusing dense {n_sites}-site step unitaries (cap {MATRIX_QUBIT_CAP})"
+        )
     if method == "exact_exponential":
         if n_sites > EXACT_SITE_CAP:
             raise ValueError(

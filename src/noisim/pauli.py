@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * Qubits are numbered 1..n. Qubit 1 is the leftmost character of the text
-  form and the most significant tensor factor of the dense matrix.
+  form and the most significant Kronecker factor of the dense matrix.
 * A string is stored as a pair of masks; bit q-1 addresses qubit q. A set
   x bit contributes an X factor, a set z bit a Z factor, both set mean Y.
 * Multiplication phases are one of {+1, +i, -1, -i} and are tracked exactly
@@ -26,8 +26,6 @@ __all__ = [
     "identity",
     "multiply",
     "parse",
-    "phase_label",
-    "tensor",
     "to_matrix",
 ]
 
@@ -116,14 +114,6 @@ class PhasedPauli:
         return _PHASE_LABELS[self.phase]
 
 
-def phase_label(phase: complex) -> str:
-    """External rendering of an exact phase: '+1', '+i', '-1' or '-i'."""
-    try:
-        return _PHASE_LABELS[phase]
-    except KeyError:
-        raise ValueError(f"phase {phase!r} not in {{+1, +i, -1, -i}}") from None
-
-
 def identity(n_qubits: int) -> PauliString:
     return PauliString(n_qubits, 0, 0)
 
@@ -170,15 +160,6 @@ def multiply(a: PauliString, b: PauliString) -> PhasedPauli:
         + 2 * (a.z_mask & b.x_mask).bit_count()
     )
     return PhasedPauli(PauliString(a.n_qubits, x, z), PHASES[exponent % 4])
-
-
-def tensor(a: PauliString, b: PauliString) -> PauliString:
-    """Tensor product; a occupies the lower qubit indices."""
-    return PauliString(
-        a.n_qubits + b.n_qubits,
-        a.x_mask | (b.x_mask << a.n_qubits),
-        a.z_mask | (b.z_mask << a.n_qubits),
-    )
 
 
 @lru_cache(maxsize=4096)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PauliChannel
-from .pauli import PauliString
 
-__all__ = ["SampleReport", "run_trials", "sample_indices", "sample_strings"]
+__all__ = ["SampleReport", "run_trials", "sample_indices"]
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,6 @@ def sample_indices(
     draws = rng.random(n_samples)
     idx = np.searchsorted(cum, draws, side="right")
     return np.minimum(idx, len(channel.terms) - 1)
-
-
-def sample_strings(
-    channel: PauliChannel, n_samples: int, rng: np.random.Generator
-) -> list[PauliString]:
-    support = channel.support
-    return [support[i] for i in sample_indices(channel, n_samples, rng)]
 
 
 def run_trials(

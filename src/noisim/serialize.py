@@ -102,19 +102,22 @@ def channel_to_dict(channel: PauliChannel) -> dict:
 
 
 def channel_from_dict(data: Mapping[str, Any]) -> PauliChannel:
-    if "terms" not in data:
+    if not isinstance(data, Mapping) or not isinstance(data.get("terms"), list):
         raise ValueError("channel object needs a 'terms' list")
     terms = []
     for i, entry in enumerate(data["terms"]):
         try:
-            terms.append((float(entry["weight"]), entry["string"]))
+            string, weight = entry["string"], float(entry["weight"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"term {i} needs 'string' and 'weight' fields") from exc
+        if not isinstance(string, str):
+            raise ValueError(f"term {i}: 'string' must be text, got {string!r}")
+        terms.append((weight, string))
     channel = PauliChannel(terms)
     declared = data.get("n_qubits")
-    if declared is not None and int(declared) != channel.n_qubits:
+    if declared is not None and declared != channel.n_qubits:
         raise ValueError(
-            f"declared n_qubits {declared} != string length {channel.n_qubits}"
+            f"declared n_qubits {declared!r} != string length {channel.n_qubits}"
         )
     return channel
 

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisim.channels import DensityMatrix, KrausChannel, PauliChannel
+from noisim.channels import DensityMatrix, PauliChannel
 from noisim.choi import (
     apply_from_choi,
     choi_state,
     renyi_entropy,
-    schatten_distance,
     schatten_norm,
     theorem1_check,
 )
@@ -37,7 +36,6 @@ def test_schatten_norm_known_values():
     assert schatten_norm(a, 1) == pytest.approx(7.0)
     assert schatten_norm(a, 2) == pytest.approx(5.0)
     assert schatten_norm(a, math.inf) == pytest.approx(4.0)
-    assert schatten_distance(a, a, 2) == 0.0
     with pytest.raises(ValueError):
         schatten_norm(a, 0.5)
 
@@ -82,8 +80,9 @@ def test_certificate_at_p_infinity_reports_single_bound():
 
 def test_certificate_validation():
     rho = DensityMatrix.maximally_mixed(2)
-    with pytest.raises(ValueError):
-        theorem1_check(IDENTITY_1Q, DEPOLARIZING_1Q, rho, 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            theorem1_check(IDENTITY_1Q, DEPOLARIZING_1Q, rho, p)
     two_qubit = PauliChannel([(1.0, "II")])
     with pytest.raises(ValueError):
         theorem1_check(IDENTITY_1Q, two_qubit, rho, 2)
@@ -106,9 +105,10 @@ def test_duality_on_kraus_channel():
         [[np.cos(theta / 2), -1j * np.sin(theta / 2)],
          [-1j * np.sin(theta / 2), np.cos(theta / 2)]]
     )
-    channel = KrausChannel([k])
+    # a unitary channel has the pure Choi state v v^dag, v = (K x I)|Omega>
+    v = k.reshape(-1) / math.sqrt(2)
     rho = random_density(np.random.default_rng(3), 2)
-    recovered = apply_from_choi(choi_state(channel), rho)
+    recovered = apply_from_choi(np.outer(v, v.conj()), rho)
     assert np.abs(recovered - k @ rho @ k.conj().T).max() < 1e-12
 
 

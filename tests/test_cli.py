@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noisim.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from noisim.pauli import MATRIX_QUBIT_CAP
 
 FOUR_WAY = {"terms": [{"string": t, "weight": 0.25} for t in ("YI", "ZX", "XZ", "IY")]}
 SYM_NOISE = {"terms": [
@@ -198,6 +202,86 @@ def test_encode_nan_tol_exits_one(files):
         "--tol", "nan", "--out", str(files["dir"] / "x.json"),
     ])
     assert code == EXIT_USAGE
+
+
+def test_nan_order_and_step_exit_one(files):
+    for argv in (
+        ["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "nan"],
+        ["benchmark", "--dt", "nan"],
+    ):
+        code = main([*argv, "--out", str(files["dir"] / "x.out")])
+        assert code == EXIT_USAGE, argv
+
+
+def test_oversized_dense_states_exit_one(tmp_path, capsys):
+    # refused before any 2**n x 2**n matrix is built
+    n = MATRIX_QUBIT_CAP + 1
+    small = _write(tmp_path, "small.json", BENCH_NOISE)
+    big = _write(tmp_path, "big.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})
+    for argv in (
+        ["certify", "--channel-a", small, "--channel-b", small, "--state", "0" * n],
+        ["certify", "--channel-a", big, "--channel-b", big],
+        ["benchmark", "--target", big, "--noise", big, "--n-sites", str(n),
+         "--initial", "1" + "0" * (n - 1), "--step-method", "trotter"],
+    ):
+        code = main([*argv, "--out", str(tmp_path / "x.out")])
+        assert code == EXIT_USAGE, argv
+        assert "refusing" in capsys.readouterr().err
+
+
+FAULTS = (None, "weight", "sum", "letter", "length", "missing", "type", "empty", "n_qubits")
+
+
+@st.composite
+def channel_documents(draw):
+    """A channel JSON object and the fault planted in it (None: well formed)."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    strings = [draw(st.text("IXYZ", min_size=n, max_size=n)) for _ in range(k)]
+    raw = [draw(st.floats(0.01, 1.0)) for _ in range(k)]
+    total = math.fsum(raw)
+    terms = [{"string": s, "weight": w / total} for s, w in zip(strings, raw)]
+    fault = draw(st.sampled_from(FAULTS))
+    term = terms[draw(st.integers(0, k - 1))]
+    if fault == "weight":
+        term["weight"] = draw(st.sampled_from([-0.25, math.nan, math.inf, -math.inf]))
+    elif fault == "sum":
+        factor = draw(st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+        for t in terms:
+            t["weight"] *= factor
+    elif fault == "letter":
+        pos = draw(st.integers(0, n - 1))
+        term["string"] = term["string"][:pos] + draw(st.sampled_from("Qx1 ")) + term["string"][pos + 1:]
+    elif fault == "length":
+        terms.append({"string": "I" * (n + 1), "weight": 0.0})
+    elif fault == "missing":
+        del term[draw(st.sampled_from(["string", "weight"]))]
+    elif fault == "type":
+        term[draw(st.sampled_from(["string", "weight"]))] = draw(st.sampled_from([5, None, ["X"]]))
+    elif fault == "empty":
+        terms.clear()
+    doc = {"terms": terms}
+    if fault == "n_qubits":
+        doc["n_qubits"] = draw(st.sampled_from([n + 1, "x", [n]]))
+    elif draw(st.booleans()):
+        doc["n_qubits"] = n
+    return doc, fault
+
+
+@given(channel_documents())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_channel_files_map_to_exit_codes(tmp_path, doc_fault):
+    doc, fault = doc_fault
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity become JSON literals
+    code = main([
+        "encode", "--target", str(path), "--noise", str(path),
+        "--out", str(tmp_path / "enc.json"),
+    ])
+    if fault is None:
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), doc
+    else:
+        assert code == EXIT_USAGE, (fault, doc)
 
 
 def test_bad_pauli_string_exits_one(files):

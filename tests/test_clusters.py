@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisim.clusters import (
-    analyze_cluster,
-    channels_per_iteration,
-    lift_noise_nn,
-    orbit,
-    product_strings_over_pairs,
-)
+from noisim.clusters import analyze_cluster, orbit
 from noisim.pauli import multiply, parse
 
 
@@ -59,36 +53,3 @@ def test_orbit_is_closed(node, generators):
     for s in members:
         for g in generators:
             assert multiply(parse(g), s).string in members
-
-
-def test_lift_disjoint_pairs():
-    lifted = lift_noise_nn(["XX", "YY"], 4)
-    assert [s.text for s in lifted] == ["XXII", "YYII", "IIXX", "IIYY"]
-    with pytest.raises(ValueError):
-        lift_noise_nn(["XX"], 5)
-    with pytest.raises(ValueError):
-        lift_noise_nn(["XXX"], 4)
-
-
-def test_lift_overlapping_pairs():
-    lifted = lift_noise_nn(["XX"], 3, overlapping=True)
-    assert [s.text for s in lifted] == ["XXI", "IXX"]
-
-
-def test_channels_per_iteration_counts_products():
-    assert channels_per_iteration(3, 2) == 3
-    assert channels_per_iteration(3, 4) == 15
-    assert channels_per_iteration(1, 6) == 7
-    with pytest.raises(ValueError):
-        channels_per_iteration(2, 3)
-
-
-def test_product_strings_match_count():
-    per_pair = [parse("XX"), parse("YY"), parse("ZZ")]
-    for n_pairs in (1, 2):
-        combos = product_strings_over_pairs(per_pair, n_pairs)
-        assert len(combos) == channels_per_iteration(3, 2 * n_pairs)
-        assert len(set(combos)) == len(combos)
-        assert all(not s.is_identity() for s in combos)
-    two = product_strings_over_pairs(["XX"], 2)
-    assert {s.text for s in two} == {"XXII", "IIXX", "XXXX"}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from noisim.dynamics import (
     site_occupations,
     trotter_step_unitaries,
 )
-from noisim.pauli import parse
+from noisim.pauli import MATRIX_QUBIT_CAP, parse
 
 
 def test_hamiltonian_onsite_spectrum():
@@ -75,6 +77,11 @@ def test_exact_exponential_is_small_system_reference():
         trotter_step_unitaries(2, 1.0, 0.5, 0.05, method="magic")
     with pytest.raises(ValueError):
         trotter_step_unitaries(2, 1.0, 0.5, -0.1)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            trotter_step_unitaries(2, 1.0, 0.5, dt)
+    with pytest.raises(ValueError, match="refusing"):
+        trotter_step_unitaries(MATRIX_QUBIT_CAP + 1, 1.0, 0.5, 0.05)
 
 
 def test_evolution_validation():

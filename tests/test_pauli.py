@@ -11,8 +11,6 @@ from noisim.pauli import (
     identity,
     multiply,
     parse,
-    phase_label,
-    tensor,
     to_matrix,
 )
 
@@ -89,14 +87,6 @@ def test_multiply_rejects_size_mismatch():
         multiply(parse("X"), parse("XX"))
 
 
-@given(texts, texts)
-@settings(max_examples=100)
-def test_tensor_matches_kron(a, b):
-    t = tensor(parse(a), parse(b))
-    assert t.text == a + b
-    assert np.array_equal(to_matrix(t), np.kron(dense_string(a), dense_string(b)))
-
-
 def test_to_matrix_cached_and_read_only():
     m1 = to_matrix(parse("XZ"))
     m2 = to_matrix(parse("XZ"))
@@ -115,7 +105,6 @@ def test_phased_pauli_validates_phase():
     with pytest.raises(ValueError):
         PhasedPauli(parse("X"), 2.0)
     assert PhasedPauli(parse("X"), -1j).phase_text == "-i"
-    assert phase_label(1 + 0j) == "+1"
 
 
 def test_string_mask_consistency():

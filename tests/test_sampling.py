@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisim.channels import PauliChannel
-from noisim.sampling import run_trials, sample_indices, sample_strings
+from noisim.sampling import run_trials, sample_indices
 
 CHANNEL = PauliChannel([(0.5, "II"), (0.3, "XZ"), (0.2, "IY")])
 
@@ -32,13 +32,6 @@ def test_l1_gap_shrinks_with_more_samples():
     small = run_trials(CHANNEL, seed=5, n_trials=10, steps_per_trial=20)
     large = run_trials(CHANNEL, seed=5, n_trials=10, steps_per_trial=20000)
     assert large.l1_gap < small.l1_gap
-
-
-def test_sample_strings_stay_in_support():
-    rng = np.random.default_rng(0)
-    support = set(CHANNEL.support)
-    for s in sample_strings(CHANNEL, 200, rng):
-        assert s in support
 
 
 def test_degenerate_channel_always_draws_its_string():
