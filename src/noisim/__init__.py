@@ -48,7 +48,6 @@ from .pauli import (
     identity,
     multiply,
     parse,
-    to_matrix,
 )
 from .sampling import SampleReport, run_trials
 from .validation import InvariantViolation, audit_encoding, check_conservation, check_decomposition
@@ -98,7 +97,6 @@ __all__ = [
     "schatten_norm",
     "site_occupations",
     "theorem1_check",
-    "to_matrix",
     "trotter_step_unitaries",
     "__version__",
 ]

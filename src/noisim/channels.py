@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliString, parse, to_matrix
+from .pauli import MATRIX_QUBIT_CAP, PauliString, monomial, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -157,6 +157,7 @@ def _apply_channel_raw(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
     """sum_i w_i P_i rho P_i on a bare matrix, hermitized; no validation."""
     out = np.zeros_like(rho)
     for w, s in channel.terms:
-        m = to_matrix(s)
-        out += w * (m @ rho @ m)
+        # (P rho P)[i, j] = phases[i] rho[cols[i], cols[j]] conj(phases[j]), O(d**2)
+        cols, phases = monomial(s)
+        out += w * (rho[np.ix_(cols, cols)] * np.outer(phases, phases.conj()))
     return (out + out.conj().T) / 2

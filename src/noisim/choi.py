@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
-from .pauli import to_matrix
+from .pauli import monomial
 
 __all__ = [
     "CertificateCheck",
@@ -50,11 +50,14 @@ _ABS_SLACK = 1e-12
 def choi_state(channel: PauliChannel) -> np.ndarray:
     """Unit-trace Choi state of the channel, system factor first."""
     dim = 2**channel.n_qubits
-    omega = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
+    rows = np.arange(dim)
+    amplitude = 1 / math.sqrt(dim)  # of each |ii> in |Omega>
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for w, s in channel.terms:
-        # (K x I)|Omega> has entries K[i, j]/sqrt(d) at index (i, j), K = sqrt(w) P
-        v = np.kron(math.sqrt(w) * to_matrix(s), np.eye(dim)) @ omega
+        # (K x I)|Omega> has entries K[i, j] * amplitude at index (i, j), K = sqrt(w) P
+        cols, phases = monomial(s)
+        v = np.zeros(dim * dim, dtype=complex)
+        v[rows * dim + cols] = math.sqrt(w) * phases * amplitude
         out += np.outer(v, v.conj())
     return (out + out.conj().T) / 2
 

@@ -193,11 +193,21 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BENCH_COERCE = {
+_BENCH_TYPES = {
     "n_sites": int, "omega0": float, "coupling": float, "dt": float,
     "n_steps": int, "initial": str, "encoder": str, "node": str,
     "tol": float, "max_iters": int, "step_method": str,
 }
+# the JSON values each field type accepts; true/false are never numbers here
+_JSON_KINDS = {int: ("integer", (int,)), float: ("number", (int, float)), str: ("string", (str,))}
+
+
+def _config_value(source: str, key: str, value: Any) -> Any:
+    kind = _BENCH_TYPES[key]
+    name, accepted = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{source}: {key} must be a JSON {name}, got {value!r}")
+    return kind(value)
 
 
 def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
@@ -207,15 +217,17 @@ def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
         data = load_json(args.config)
         if not isinstance(data, Mapping):
             raise ValueError(f"{args.config}: expected a config object")
-        unknown = set(data) - set(_BENCH_COERCE) - {"target", "noise"}
+        unknown = set(data) - set(_BENCH_TYPES) - {"target", "noise"}
         if unknown:
             raise ValueError(f"{args.config}: unknown keys {sorted(unknown)}")
         if "target" in data:
             target = channel_from_dict(data["target"])
         if "noise" in data:
             noise = channel_from_dict(data["noise"])
-        settings.update({k: _BENCH_COERCE[k](data[k]) for k in _BENCH_COERCE if k in data})
-    for key in _BENCH_COERCE:
+        settings.update(
+            {k: _config_value(args.config, k, data[k]) for k in _BENCH_TYPES if k in data}
+        )
+    for key in _BENCH_TYPES:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value

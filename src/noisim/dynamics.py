@@ -97,6 +97,8 @@ def trotter_step_unitaries(
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"need finite dt > 0, got {dt}")
+    if not (math.isfinite(omega0) and math.isfinite(g)):
+        raise ValueError(f"need finite omega0 and coupling g, got {omega0} and {g}")
     if n_sites > MATRIX_QUBIT_CAP:
         raise ValueError(
             f"refusing dense {n_sites}-site step unitaries (cap {MATRIX_QUBIT_CAP})"

@@ -133,8 +133,8 @@ def _check_inputs(target: PauliChannel, noise: PauliChannel, tol: float, max_ite
         raise ValueError(
             f"target acts on {target.n_qubits} qubits, noise on {noise.n_qubits}"
         )
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
 

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,9 +23,9 @@ __all__ = [
     "PauliString",
     "PhasedPauli",
     "identity",
+    "monomial",
     "multiply",
     "parse",
-    "to_matrix",
 ]
 
 # i**k for k = 0..3; Python complex arithmetic on these values is exact.
@@ -38,15 +37,8 @@ _PHASE_LABELS = {1 + 0j: "+1", 1j: "+i", -1 + 0j: "-1", -1j: "-i"}
 _LETTERS = "IXZY"
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
-# Dense matrices above this size are refused; memory grows as 4**n.
+# Dense states and step unitaries above this size are refused; memory grows as 4**n.
 MATRIX_QUBIT_CAP = 10
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class PauliParseError(ValueError):
@@ -162,27 +154,18 @@ def multiply(a: PauliString, b: PauliString) -> PhasedPauli:
     return PhasedPauli(PauliString(a.n_qubits, x, z), PHASES[exponent % 4])
 
 
-@lru_cache(maxsize=4096)
-def _matrix_cached(n_qubits: int, x_mask: int, z_mask: int) -> np.ndarray:
-    out = np.array([[1]], dtype=complex)
-    for q in range(1, n_qubits + 1):
-        bit = q - 1
-        letter = _LETTERS[((x_mask >> bit) & 1) + 2 * ((z_mask >> bit) & 1)]
-        out = np.kron(out, _SINGLE[letter])
-    out.setflags(write=False)
-    return out
+def monomial(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """The string's 2**n x 2**n matrix as one nonzero entry per row.
 
-
-def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n x 2**n matrix of the (unphased) string.
-
-    Qubit 1 is the most significant Kronecker factor. The returned array is
-    cached and read-only; copy before mutating. Refused above
-    MATRIX_QUBIT_CAP qubits.
+    Row i holds `phases[i]` at column `cols[i]`, so `P @ v` is
+    `phases * v[cols]`. Qubit 1 is the most significant bit of a row index
+    (the mask stores it in bit 0). In those index bits, cols = i ^ x and
+    phases = i**|x & z| * (-1)**|cols & z|. O(2**n) time and memory.
     """
-    if p.n_qubits > MATRIX_QUBIT_CAP:
-        raise ValueError(
-            f"refusing dense matrix for {p.n_qubits} qubits "
-            f"(cap {MATRIX_QUBIT_CAP})"
-        )
-    return _matrix_cached(p.n_qubits, p.x_mask, p.z_mask)
+    n = p.n_qubits
+    x = int(format(p.x_mask, f"0{n}b")[::-1], 2)
+    signs = np.ones(1)
+    for q in range(n):
+        signs = np.kron(signs, (1.0, -1.0) if p.z_mask >> q & 1 else (1.0, 1.0))
+    cols = np.arange(1 << n) ^ x
+    return cols, PHASES[(p.x_mask & p.z_mask).bit_count() % 4] * signs[cols]

@@ -37,10 +37,12 @@ def test_channel_validation():
         PauliChannel([(math.inf, "I"), (1.0, "X")])
 
 
-def test_apply_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    terms = random_channel_terms(rng, 2)
-    rho = random_density(rng, 4)
+@given(seeds, st.integers(min_value=1, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_apply_matches_dense_oracle(seed, n):
+    rng = np.random.default_rng(seed)
+    terms = random_channel_terms(rng, n, max_terms=12)
+    rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
     out = apply_pauli_channel(PauliChannel(terms), DensityMatrix(rho))
     expected = apply_channel_dense(terms, rho)
     assert np.abs(out.matrix - expected).max() < 1e-12

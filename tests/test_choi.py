@@ -14,7 +14,7 @@ from noisim.choi import (
     theorem1_check,
 )
 
-from helpers import apply_channel_dense, random_channel_terms, random_density
+from helpers import apply_channel_dense, dense_string, random_channel_terms, random_density
 
 IDENTITY_1Q = PauliChannel([(1.0, "I")])
 DEPOLARIZING_1Q = PauliChannel(
@@ -29,6 +29,30 @@ def test_choi_states_of_reference_channels():
     assert np.abs(j_id - omega).max() < 1e-15
     j_dep = choi_state(DEPOLARIZING_1Q)
     assert np.abs(j_dep - np.eye(4) / 4).max() < 1e-15
+
+
+@st.composite
+def pauli_terms(draw):
+    """(weight, text) pairs on 1-3 qubits; Y, whose entries carry the i phases,
+    is drawn three times as often as each other letter."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    text = st.text(alphabet=st.sampled_from("IXZYYY"), min_size=n, max_size=n)
+    texts = draw(st.lists(text, min_size=1, max_size=8, unique=True))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(texts), max_size=len(texts)))
+    total = math.fsum(raw)
+    return [(r / total, t) for r, t in zip(raw, texts)]
+
+
+@given(pauli_terms())
+@settings(max_examples=100, deadline=None)
+def test_choi_state_matches_dense_oracle(terms):
+    # J = sum_P w vec(P) vec(P)^dag / d, vec stacking rows (system index first)
+    d = dense_string(terms[0][1]).shape[0]
+    expected = sum(
+        w * np.outer(dense_string(t).reshape(-1), dense_string(t).reshape(-1).conj()) / d
+        for w, t in terms
+    )
+    assert np.abs(choi_state(PauliChannel(terms)) - expected).max() < 1e-12
 
 
 def test_schatten_norm_known_values():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -147,6 +148,21 @@ def test_benchmark_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"n_steps": [1]}', '{"n_steps": 1e400}', '{"max_iters": 1e400}', '{"n_steps": 2.7}',
+    '{"n_steps": true}', '{"dt": false}', '{"dt": "0.05"}', '{"node": null}', '{"initial": 10}',
+    '{"tol": 1e400}',
+])
+def test_benchmark_rejects_mistyped_config_values(tmp_path, capsys, text):
+    # every value must have its field's JSON type; nothing is coerced
+    config = tmp_path / "bench.json"
+    config.write_text(text)
+    code = main(["benchmark", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert next(iter(json.loads(text))) in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_benchmark_needs_channels_beyond_two_sites(tmp_path):
     code = main(["benchmark", "--n-sites", "4", "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_USAGE
@@ -204,13 +220,24 @@ def test_encode_nan_tol_exits_one(files):
     assert code == EXIT_USAGE
 
 
-def test_nan_order_and_step_exit_one(files):
-    for argv in (
-        ["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "nan"],
-        ["benchmark", "--dt", "nan"],
+def test_nan_order_and_step_exit_one(files, capsys):
+    encode = ["encode", "--target", files["target"], "--noise", files["noise"]]
+    for argv, name in (
+        (["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "nan"],
+         "p >= 1"),
+        (["benchmark", "--dt", "nan"], "dt"),
+        ([*encode, "--tol", "inf"], "tol"),
+        (["benchmark", "--tol", "inf"], "tol"),
+        (["benchmark", "--omega0", "nan"], "omega0"),
+        (["benchmark", "--coupling", "inf"], "coupling"),
     ):
-        code = main([*argv, "--out", str(files["dir"] / "x.out")])
+        # refused at the boundary, before numpy meets the value and warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", str(files["dir"] / "x.out")])
         assert code == EXIT_USAGE, argv
+        assert name in capsys.readouterr().err, argv
+        assert not (files["dir"] / "x.out").exists(), argv
 
 
 def test_oversized_dense_states_exit_one(tmp_path, capsys):

@@ -82,6 +82,12 @@ def test_exact_exponential_is_small_system_reference():
             trotter_step_unitaries(2, 1.0, 0.5, dt)
     with pytest.raises(ValueError, match="refusing"):
         trotter_step_unitaries(MATRIX_QUBIT_CAP + 1, 1.0, 0.5, 0.05)
+    for bad in (math.nan, math.inf, -math.inf):
+        for method in ("trotter", "exact_exponential"):
+            with pytest.raises(ValueError, match="omega0"):
+                trotter_step_unitaries(2, bad, 0.5, 0.05, method=method)
+            with pytest.raises(ValueError, match="coupling"):
+                trotter_step_unitaries(2, 1.0, bad, 0.05, method=method)
 
 
 def test_evolution_validation():

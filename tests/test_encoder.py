@@ -187,8 +187,9 @@ def test_input_validation():
         encode_adaptive(target, noise, max_iters=-1)
     with pytest.raises(ValueError):
         encode_adaptive(target, PauliChannel([(1.0, "X")]))
-    with pytest.raises(ValueError):
-        encode_adaptive(target, noise, tol=math.nan)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            encode_adaptive(target, noise, tol=tol)
     with pytest.raises(ValueError):
         encode(target, noise, mode="best")
     with pytest.raises(ValueError):

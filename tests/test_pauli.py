@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisim.pauli import (
-    MATRIX_QUBIT_CAP,
     PauliParseError,
     PauliString,
     PhasedPauli,
     identity,
+    monomial,
     multiply,
     parse,
-    to_matrix,
 )
 
-from helpers import dense_string
+from helpers import all_texts, dense_string
 
 texts = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
@@ -87,18 +86,13 @@ def test_multiply_rejects_size_mismatch():
         multiply(parse("X"), parse("XX"))
 
 
-def test_to_matrix_cached_and_read_only():
-    m1 = to_matrix(parse("XZ"))
-    m2 = to_matrix(parse("XZ"))
-    assert m1 is m2
-    with pytest.raises(ValueError):
-        m1[0, 0] = 5.0
-
-
-def test_to_matrix_cap():
-    big = identity(MATRIX_QUBIT_CAP + 1)
-    with pytest.raises(ValueError):
-        to_matrix(big)
+def test_monomial_rebuilds_dense_string_exactly():
+    for n in (1, 2, 3):
+        for text in all_texts(n):
+            cols, phases = monomial(parse(text))
+            dense = np.zeros((2**n, 2**n), dtype=complex)
+            dense[np.arange(2**n), cols] = phases
+            assert np.array_equal(dense, dense_string(text)), text
 
 
 def test_phased_pauli_validates_phase():
