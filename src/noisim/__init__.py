@@ -23,7 +23,6 @@ from .dynamics import (
     BenchmarkConfig,
     BenchmarkResult,
     chain_hamiltonian,
-    default_benchmark_config,
     default_noise_channel,
     default_target_channel,
     evolve_occupations,
@@ -78,7 +77,6 @@ __all__ = [
     "check_conservation",
     "check_decomposition",
     "choi_state",
-    "default_benchmark_config",
     "default_noise_channel",
     "default_target_channel",
     "effective_channel",

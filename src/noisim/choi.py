@@ -30,6 +30,7 @@ from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
 from .pauli import monomial
 
 __all__ = [
+    "CHOI_QUBIT_CAP",
     "CertificateCheck",
     "CertificateReport",
     "EIG_CLIP",
@@ -42,6 +43,9 @@ __all__ = [
 
 EIG_CLIP = -1e-12
 
+# Choi states of larger channels are refused; each is a dense 4**n x 4**n matrix.
+CHOI_QUBIT_CAP = 6
+
 # multiplicative plus absolute slack applied to every certified bound
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
@@ -49,6 +53,10 @@ _ABS_SLACK = 1e-12
 
 def choi_state(channel: PauliChannel) -> np.ndarray:
     """Unit-trace Choi state of the channel, system factor first."""
+    if channel.n_qubits > CHOI_QUBIT_CAP:
+        raise ValueError(
+            f"refusing a dense {channel.n_qubits}-qubit Choi state (cap {CHOI_QUBIT_CAP})"
+        )
     dim = 2**channel.n_qubits
     rows = np.arange(dim)
     amplitude = 1 / math.sqrt(dim)  # of each |ii> in |Omega>
@@ -142,6 +150,8 @@ def theorem1_check(
     if da != db or da != rho.dim:
         raise ValueError(f"dimension mismatch: channels {da}/{db}, state {rho.dim}")
     d = da
+    if not math.isinf(p) and (2.0 * p - 1.0) * channel_a.n_qubits >= 1024:
+        raise ValueError(f"Schatten order p = {p} overflows d**(2p - 1) at d = {d}; use --p inf")
 
     delta_out = (
         _apply_channel_raw(channel_a, rho.matrix) - _apply_channel_raw(channel_b, rho.matrix)

@@ -2,7 +2,8 @@
 
 A node string together with a set of noise strings generates a cluster: the
 closure of the node under left multiplication by noise generators. Phases
-are dropped because channels conjugate, so only the string part matters.
+are dropped because channels conjugate, so the orbit is the coset
+node + span_GF(2)(generator masks x | z << n), of 2**rank strings.
 
 `branching_dimension` counts distinct non-identity neighbours reachable in
 one product from the node; `cluster_dimension` is the orbit size. A cluster
@@ -16,36 +17,12 @@ from dataclasses import dataclass
 from math import log
 from typing import Iterable
 
-from .pauli import PauliString, multiply, parse
+from .pauli import PauliString, parse
 
-__all__ = ["Cluster", "analyze_cluster", "orbit"]
+__all__ = ["Cluster", "ORBIT_RANK_CAP", "analyze_cluster", "orbit"]
 
-
-def _as_string(s: PauliString | str) -> PauliString:
-    return parse(s) if isinstance(s, str) else s
-
-
-def orbit(
-    node: PauliString | str, generators: Iterable[PauliString | str]
-) -> frozenset[PauliString]:
-    """Closure of node under left multiplication by the generators."""
-    node = _as_string(node)
-    gens = [_as_string(g) for g in generators]
-    for g in gens:
-        if g.n_qubits != node.n_qubits:
-            raise ValueError(f"generator {g.text} acts on {g.n_qubits} qubits, node on {node.n_qubits}")
-    seen = {node}
-    frontier = [node]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = multiply(g, s).string
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return frozenset(seen)
+# Orbits of higher generator rank are refused; they hold 2**rank strings.
+ORBIT_RANK_CAP = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,26 +35,49 @@ class Cluster:
     leakage_entropy: float
 
 
+def orbit(
+    node: PauliString | str, generators: Iterable[PauliString | str]
+) -> frozenset[PauliString]:
+    """Closure of node under left multiplication by the generators."""
+    return analyze_cluster(node, generators).members
+
+
 def analyze_cluster(
     node: PauliString | str, generators: Iterable[PauliString | str]
 ) -> Cluster:
     """Orbit plus its branching/cluster dimensions and leakage entropy."""
-    node = _as_string(node)
-    gens = [_as_string(g) for g in generators]
-    members = orbit(node, gens)
-    # one-step neighbours, identity excluded
-    step = {multiply(g, node).string for g in gens}
-    step.discard(node)
-    step = {s for s in step if not s.is_identity()}
-    d_b = len(step)
+    node = parse(node) if isinstance(node, str) else node
+    n = node.n_qubits
+    start = node.x_mask | node.z_mask << n
+    vectors = []
+    for g in generators:
+        g = parse(g) if isinstance(g, str) else g
+        if g.n_qubits != n:
+            raise ValueError(f"generator {g.text} acts on {g.n_qubits} qubits, node on {n}")
+        vectors.append(g.x_mask | g.z_mask << n)
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)  # clears b's leading bit in v, if set
+        if v:
+            basis.append(v)
+    if len(basis) > ORBIT_RANK_CAP:
+        raise ValueError(
+            f"refusing an orbit of 2**{len(basis)} strings: generator rank {len(basis)} "
+            f"exceeds ORBIT_RANK_CAP = {ORBIT_RANK_CAP}"
+        )
+    members = [start]
+    for b in basis:
+        members += [m ^ b for m in members]
+    low = (1 << n) - 1
+    # one-step neighbours, the node and the identity excluded
+    d_b = len({start ^ v for v in vectors} - {start, 0})
     d_c = len(members)
-    all_to_all = d_c == d_b + 1
-    entropy = log(d_c / (d_b + 1))
     return Cluster(
         node=node,
-        members=members,
+        members=frozenset(PauliString(n, m & low, m >> n) for m in members),
         branching_dimension=d_b,
         cluster_dimension=d_c,
-        all_to_all=all_to_all,
-        leakage_entropy=entropy,
+        all_to_all=d_c == d_b + 1,
+        leakage_entropy=log(d_c / (d_b + 1)),
     )

@@ -31,7 +31,6 @@ __all__ = [
     "BenchmarkResult",
     "EXACT_SITE_CAP",
     "chain_hamiltonian",
-    "default_benchmark_config",
     "default_noise_channel",
     "default_target_channel",
     "evolve_occupations",
@@ -198,10 +197,6 @@ class BenchmarkConfig:
     tol: float = 1e-6
     max_iters: int = 1000
     step_method: str = "auto"
-
-
-def default_benchmark_config() -> BenchmarkConfig:
-    return BenchmarkConfig(target=default_target_channel(), noise=default_noise_channel())
 
 
 @dataclass(frozen=True)

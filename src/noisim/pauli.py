@@ -31,8 +31,6 @@ __all__ = [
 # i**k for k = 0..3; Python complex arithmetic on these values is exact.
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
-_PHASE_LABELS = {1 + 0j: "+1", 1j: "+i", -1 + 0j: "-1", -1j: "-i"}
-
 # Letter for (x, z) indexed as x + 2z.
 _LETTERS = "IXZY"
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -100,10 +98,6 @@ class PhasedPauli:
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
             raise ValueError(f"phase {self.phase!r} not in {{+1, +i, -1, -i}}")
-
-    @property
-    def phase_text(self) -> str:
-        return _PHASE_LABELS[self.phase]
 
 
 def identity(n_qubits: int) -> PauliString:

@@ -2,12 +2,16 @@
 
 Everything here is built from first principles (explicit 2x2 matrices and
 Kronecker products) so the tests cross-check the package against an
-independent implementation rather than against itself.
+independent implementation rather than against itself. The one exception,
+`orbit_bfs`, walks products from `multiply`, which criterion 1 checks
+against dense matrices.
 """
 
 from itertools import product
 
 import numpy as np
+
+from noisim.pauli import multiply
 
 PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -67,3 +71,20 @@ def random_density(rng, dim: int, *, pure: bool = False) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def orbit_bfs(node, generators) -> frozenset:
+    """Breadth-first closure of node under left products with the generators,
+    phases dropped; the oracle for the coset enumeration in `clusters`."""
+    seen = {node}
+    frontier = [node]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in generators:
+                t = multiply(g, s).string
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return frozenset(seen)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noisim.channels import DensityMatrix, PauliChannel
 from noisim.choi import (
+    CHOI_QUBIT_CAP,
     apply_from_choi,
     choi_state,
     renyi_entropy,
@@ -110,6 +111,17 @@ def test_certificate_validation():
     two_qubit = PauliChannel([(1.0, "II")])
     with pytest.raises(ValueError):
         theorem1_check(IDENTITY_1Q, two_qubit, rho, 2)
+    # refused before the 4**n x 4**n matrix is allocated
+    n = CHOI_QUBIT_CAP + 1
+    wide = PauliChannel([(1.0, "I" * n)])
+    with pytest.raises(ValueError, match="refusing"):
+        choi_state(wide)
+    with pytest.raises(ValueError, match="refusing"):
+        theorem1_check(wide, wide, DensityMatrix.maximally_mixed(2**n), 2)
+    # d**(2p - 1) would overflow a float; p = inf is the order to use there
+    for p in (600, 1e308):
+        with pytest.raises(ValueError, match="p inf"):
+            theorem1_check(two_qubit, two_qubit, DensityMatrix.maximally_mixed(4), p)
 
 
 def test_duality_inverts_choi_state():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from noisim.choi import CHOI_QUBIT_CAP
 from noisim.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from noisim.clusters import ORBIT_RANK_CAP
 from noisim.pauli import MATRIX_QUBIT_CAP
 
 FOUR_WAY = {"terms": [{"string": t, "weight": 0.25} for t in ("YI", "ZX", "XZ", "IY")]}
@@ -92,6 +94,20 @@ def test_cluster_command(files, capsys):
     assert data["branching_dimension"] == 2
     assert data["cluster_dimension"] == 4
     assert "all-to-all False" in capsys.readouterr().out
+
+
+def test_cluster_above_rank_cap_exits_one(tmp_path, capsys):
+    # X and Z on each qubit are independent: rank cap + 1, refused before enumeration
+    rank = ORBIT_RANK_CAP + 1
+    n = (rank + 1) // 2
+    letters = [(q, c) for q in range(n) for c in "XZ"][:rank]
+    generators = ["I" * q + c + "I" * (n - q - 1) for q, c in letters]
+    out = tmp_path / "c.json"
+    code = main(["cluster", "--node", "I" * n, "--generators", *generators, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"rank {rank}" in err and f"ORBIT_RANK_CAP = {ORBIT_RANK_CAP}" in err
+    assert not out.exists()
 
 
 def test_cluster_from_noise_support(files):
@@ -230,6 +246,11 @@ def test_nan_order_and_step_exit_one(files, capsys):
         (["benchmark", "--tol", "inf"], "tol"),
         (["benchmark", "--omega0", "nan"], "omega0"),
         (["benchmark", "--coupling", "inf"], "coupling"),
+        # d**(2p - 1) overflows a float, and at p = 1e308 the distances would read 0
+        (["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "600",
+          "--state", "10"], "--p inf"),
+        (["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "1e308",
+          "--state", "10"], "--p inf"),
     ):
         # refused at the boundary, before numpy meets the value and warns
         with warnings.catch_warnings():
@@ -241,13 +262,16 @@ def test_nan_order_and_step_exit_one(files, capsys):
 
 
 def test_oversized_dense_states_exit_one(tmp_path, capsys):
-    # refused before any 2**n x 2**n matrix is built
+    # refused before any 2**n x 2**n state or 4**n x 4**n Choi matrix is built
     n = MATRIX_QUBIT_CAP + 1
     small = _write(tmp_path, "small.json", BENCH_NOISE)
     big = _write(tmp_path, "big.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})
+    wide = _write(tmp_path, "wide.json",
+                  {"terms": [{"string": "I" * (CHOI_QUBIT_CAP + 1), "weight": 1.0}]})
     for argv in (
         ["certify", "--channel-a", small, "--channel-b", small, "--state", "0" * n],
         ["certify", "--channel-a", big, "--channel-b", big],
+        ["certify", "--channel-a", wide, "--channel-b", wide],
         ["benchmark", "--target", big, "--noise", big, "--n-sites", str(n),
          "--initial", "1" + "0" * (n - 1), "--step-method", "trotter"],
     ):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisim.clusters import analyze_cluster, orbit
-from noisim.pauli import multiply, parse
+from noisim.pauli import PauliString, identity, multiply, parse
+
+from helpers import orbit_bfs
 
 
 def test_two_member_orbit():
@@ -53,3 +55,34 @@ def test_orbit_is_closed(node, generators):
     for s in members:
         for g in generators:
             assert multiply(parse(g), s).string in members
+
+
+@st.composite
+def orbit_cases(draw):
+    """A node and up to 8 generators on 1-6 qubits, drawn from a small pool
+    so that repeats and dependent sets are common; the identity, the node
+    and products of pool strings are mixed in. Either side may be text."""
+    n = draw(st.integers(1, 6))
+    strings = st.builds(
+        lambda x, z: PauliString(n, x, z), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)
+    )
+    node = draw(strings)
+    pool = draw(st.lists(strings, min_size=1, max_size=4))
+    extra = [identity(n), node, *(multiply(a, b).string for a in pool for b in pool)]
+    generators = draw(st.lists(st.sampled_from(pool + extra), max_size=8))
+    text = draw(st.booleans())
+    return node, generators, text
+
+
+@given(orbit_cases())
+@settings(max_examples=300, deadline=None)
+def test_orbit_matches_bfs_oracle(case):
+    node, generators, text = case
+    args = (node.text, [g.text for g in generators]) if text else (node, generators)
+    expected = orbit_bfs(node, generators)
+    assert orbit(*args) == expected
+    cluster = analyze_cluster(*args)
+    assert cluster.members == expected
+    assert cluster.cluster_dimension == len(expected)
+    images = {multiply(g, node).string for g in generators} - {node, identity(node.n_qubits)}
+    assert cluster.branching_dimension == len(images)

@@ -7,7 +7,6 @@ from noisim.channels import PauliChannel
 from noisim.dynamics import (
     BenchmarkConfig,
     chain_hamiltonian,
-    default_benchmark_config,
     default_noise_channel,
     default_target_channel,
     evolve_occupations,
@@ -101,7 +100,9 @@ def test_evolution_validation():
 
 
 def test_default_benchmark_recovers_target_evolution():
-    result = run_benchmark(default_benchmark_config())
+    result = run_benchmark(
+        BenchmarkConfig(target=default_target_channel(), noise=default_noise_channel())
+    )
     assert result.encoding.converged
     assert result.max_gap < 1e-9
     assert result.times.shape == (201,)
@@ -109,7 +110,7 @@ def test_default_benchmark_recovers_target_evolution():
 
 
 def test_benchmark_fixed_encoder_and_errors():
-    cfg = default_benchmark_config()
+    cfg = BenchmarkConfig(target=default_target_channel(), noise=default_noise_channel())
     fixed = BenchmarkConfig(
         target=cfg.target, noise=cfg.noise, encoder="fixed", node="XZ", tol=1e-6
     )

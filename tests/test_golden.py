@@ -1,0 +1,78 @@
+"""Golden output bytes of the deterministic CLI commands.
+
+Each case runs one command in-process and pins the sha256 of every file it
+writes. The inputs are the criterion-9 fixture and one 16-qubit cluster
+whose orbit has 2**12 members. `certify` and `benchmark` are left out: they
+go through LAPACK, whose last bits can differ between builds.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from noisim.cli import EXIT_OK, main
+
+TARGET = {"terms": [
+    {"string": "II", "weight": 0.95}, {"string": "XZ", "weight": 0.03},
+    {"string": "IY", "weight": 0.02}]}
+NOISE = {"terms": [{"string": "II", "weight": 0.6}, {"string": "XX", "weight": 0.4}]}
+
+# twelve independent 16-qubit generators, two of their products and the
+# identity, so the orbit has 2**12 members
+NODE16 = "IXIXYZZIXXZZZZYZ"
+GENERATORS16 = [
+    "ZIYXIIIZYXXIXYIY", "ZZIIZZXZIYXIXYXY", "IIXIIZIXYIZZZIXI", "ZYXXZIIZZIIZXXIY",
+    "YIIZIZIIIIXZZZXX", "YZYXIYIIYZYIYIIZ", "YYYIZYYXYIIXYYII", "IZIXZXIXZYXZXYYZ",
+    "YXZYYYIYYXYXXIZY", "ZXXYYIXZIZYIIIZZ", "IXXYZIIIXZIYZYIY", "IIXXIIZXIIIIIYYI",
+    "IZYXZZXIYZIIIIXI", "IXIZZIZXXZIYZIYY", "I" * 16,
+]
+
+CASES = {
+    "encode-adaptive": (
+        ["encode", "--target", "{target}", "--noise", "{noise}", "--tol", "1e-6",
+         "--out", "{out}", "--effective-out", "{extra}"],
+        {
+            "out": "e426ca05aa534ffc71c440c82b2749f3418ff08decfc4c56f5cf16de7c49b3cb",
+            "extra": "fa88714e2398ecd94baa99f111730a08de5ce12d578735e5713261bb2d73ff9a",
+        },
+    ),
+    "encode-fixed": (
+        ["encode", "--target", "{target}", "--noise", "{noise}", "--mode", "fixed",
+         "--node", "XZ", "--out", "{out}", "--effective-out", "{extra}"],
+        {
+            "out": "1964bc0b3e7f57225158c0386b467b8366be93dbba7e18a97f32997083c8b4be",
+            "extra": "e29e32dd75301f305434f967b7d5d33ffc3fa671a2cd9087ce6e1b32b3cf5f28",
+        },
+    ),
+    "cluster": (
+        ["cluster", "--node", "XZ", "--noise", "{noise}", "--out", "{out}"],
+        {"out": "1d2a57d418242d1e6af61da4552e72f86ef2464af9111b05d8c2ed9fc85a260c"},
+    ),
+    "sample": (
+        ["sample", "--channel", "{target}", "--seed", "11", "--trials", "40",
+         "--steps", "30", "--threads", "1", "--out", "{out}"],
+        {"out": "bf4af130ed51a37aed14521f5b2e2acaeb603e3fb474fe1835ae37e414a8f7e1"},
+    ),
+    "cluster-16q": (
+        ["cluster", "--node", NODE16, "--generators", *GENERATORS16, "--out", "{out}"],
+        {"out": "033468ad3a9d9482991c220720bc727f796f5ef924c4bef3be246a48f79e7778"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_are_pinned(tmp_path, name):
+    paths = {
+        "target": tmp_path / "target.json",
+        "noise": tmp_path / "noise.json",
+        "out": tmp_path / "out",
+        "extra": tmp_path / "extra",
+    }
+    paths["target"].write_text(json.dumps(TARGET))
+    paths["noise"].write_text(json.dumps(NOISE))
+    template, expected = CASES[name]
+    argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in template]
+    assert main(argv) == EXIT_OK
+    digests = {k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in expected}
+    assert digests == expected

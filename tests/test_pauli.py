@@ -98,7 +98,7 @@ def test_monomial_rebuilds_dense_string_exactly():
 def test_phased_pauli_validates_phase():
     with pytest.raises(ValueError):
         PhasedPauli(parse("X"), 2.0)
-    assert PhasedPauli(parse("X"), -1j).phase_text == "-i"
+    assert PhasedPauli(parse("X"), -1j).phase == -1j
 
 
 def test_string_mask_consistency():

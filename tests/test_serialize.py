@@ -8,7 +8,12 @@ from noisim.channels import PauliChannel
 from noisim.choi import theorem1_check
 from noisim.channels import DensityMatrix
 from noisim.clusters import analyze_cluster
-from noisim.dynamics import default_benchmark_config, run_benchmark
+from noisim.dynamics import (
+    BenchmarkConfig,
+    default_noise_channel,
+    default_target_channel,
+    run_benchmark,
+)
 from noisim.encoder import encode_adaptive
 from noisim.sampling import run_trials
 from noisim.serialize import (
@@ -111,7 +116,9 @@ def test_cluster_and_certificate_dicts():
 
 
 def test_benchmark_and_sample_rows():
-    result = run_benchmark(default_benchmark_config())
+    result = run_benchmark(
+        BenchmarkConfig(target=default_target_channel(), noise=default_noise_channel())
+    )
     rows = benchmark_rows(result)
     assert len(rows) == 201
     assert sorted(rows[0]) == ["gap", "site1_encoded", "site1_target",
