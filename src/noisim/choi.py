@@ -85,9 +85,11 @@ def schatten_norm(matrix: np.ndarray, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
     sv = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
-    if math.isinf(p):
-        return float(sv.max(initial=0.0))
-    return float(np.sum(sv**p) ** (1.0 / p))
+    top = float(sv.max(initial=0.0))
+    if math.isinf(p) or top == 0.0:
+        return top
+    # scaled by the largest value so that sv**p cannot underflow at large p
+    return float(top * np.sum((sv / top) ** p) ** (1.0 / p))
 
 
 def renyi_entropy(rho: np.ndarray | DensityMatrix, p: float) -> float:

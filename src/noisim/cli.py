@@ -112,7 +112,8 @@ def build_parser() -> _ArgumentParser:
     ben.add_argument("--node")
     ben.add_argument("--tol", type=float)
     ben.add_argument("--max-iters", type=int)
-    ben.add_argument("--step-method", choices=["auto", "trotter", "exact_exponential"])
+    ben.add_argument("--step-method", choices=["auto", "trotter", "exact_exponential"],
+                     help="auto (the default): exact_exponential up to two sites, else trotter")
     ben.add_argument("--out", required=True, help="occupations CSV path")
     ben.add_argument("--encoding-out", help="also write the encoding result JSON")
     ben.set_defaults(func=_cmd_benchmark)

@@ -9,6 +9,7 @@ draw. Trial counts are combined in trial order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -82,10 +83,12 @@ def run_trials(
         idx = sample_indices(channel, steps_per_trial, rng)
         return np.bincount(idx, minlength=n_terms)
 
-    if threads == 1:
+    # more workers than trials or cores adds threads and no speed
+    workers = min(threads, n_trials, os.cpu_count() or 1)
+    if workers == 1:
         parts = [one_trial(t) for t in range(n_trials)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one_trial, range(n_trials)))
     totals = np.sum(parts, axis=0)
     return SampleReport(

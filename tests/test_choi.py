@@ -61,6 +61,10 @@ def test_schatten_norm_known_values():
     assert schatten_norm(a, 1) == pytest.approx(7.0)
     assert schatten_norm(a, 2) == pytest.approx(5.0)
     assert schatten_norm(a, math.inf) == pytest.approx(4.0)
+    # each 0.02**250 underflows to 0; the norm does not
+    small = np.diag([0.02, 0.02])
+    assert schatten_norm(small, 250) == pytest.approx(0.02 * 2 ** (1 / 250), rel=1e-12)
+    assert schatten_norm(np.zeros((2, 2)), 3) == 0.0
     with pytest.raises(ValueError):
         schatten_norm(a, 0.5)
 

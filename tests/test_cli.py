@@ -132,6 +132,24 @@ def test_certify_command(tmp_path):
     assert len(data["checks"]) == 4
 
 
+def test_certify_at_large_p_reports_nonzero_distances(tmp_path):
+    # the channels differ by 0.02 on II and XZ; 0.02**250 underflows to 0
+    a = _write(tmp_path, "a.json", BENCH_TARGET)
+    b = _write(tmp_path, "b.json", {"terms": [
+        {"string": "II", "weight": 0.97}, {"string": "XZ", "weight": 0.01},
+        {"string": "IY", "weight": 0.02}]})
+    out = tmp_path / "cert.json"
+    code = main([
+        "certify", "--channel-a", a, "--channel-b", b,
+        "--p", "250", "--state", "10", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    data = json.loads(out.read_text())
+    expected = 0.02 * 2 ** (1 / 250)
+    assert data["choi_distance"] == pytest.approx(expected, rel=1e-12)
+    assert data["output_distance"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_certify_accepts_inf(tmp_path):
     a = _write(tmp_path, "a.json", {"terms": [{"string": "I", "weight": 1.0}]})
     out = tmp_path / "cert.json"

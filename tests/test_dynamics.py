@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import dense_string
 from noisim.channels import PauliChannel
 from noisim.dynamics import (
     BenchmarkConfig,
@@ -28,6 +31,52 @@ def test_hamiltonian_hopping_block():
     expected = np.zeros((4, 4))
     expected[1, 2] = expected[2, 1] = 1.0
     assert np.abs(h - expected).max() < 1e-15
+
+
+def _dense_chain_parts(n, omega0, g):
+    """Onsite, odd-bond and even-bond Hamiltonians as sums of Pauli strings."""
+    def at(letters, site):
+        return dense_string("I" * site + letters + "I" * (n - site - len(letters)))
+
+    onsite = sum(0.5 * omega0 * at("Z", q) for q in range(n))
+    bonds = [
+        sum((g / 2 * (at("XX", b) + at("YY", b)) for b in range(first, n - 1, 2)),
+            np.zeros((2**n, 2**n), dtype=complex))
+        for first in (0, 1)
+    ]
+    return onsite, *bonds
+
+
+def _expm_dense(h, t):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+finite = st.floats(min_value=-10, max_value=10)
+
+
+@given(st.integers(min_value=1, max_value=6), finite, finite, st.floats(min_value=1e-3, max_value=1))
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_dense_exponentials(n, omega0, g, dt):
+    parts = _dense_chain_parts(n, omega0, g)
+    assert np.abs(chain_hamiltonian(n, omega0, g) - sum(parts)).max() < 1e-12
+    factors = trotter_step_unitaries(n, omega0, g, dt, method="trotter")
+    assert len(factors) == 3
+    for u, h in zip(factors, parts):
+        assert np.abs(u - _expm_dense(h, dt)).max() < 1e-12
+
+
+def test_single_site_bond_factors_are_identity():
+    _, odd, even = trotter_step_unitaries(1, 1.3, 0.7, 0.2)
+    assert np.array_equal(odd, np.eye(2)) and np.array_equal(even, np.eye(2))
+
+
+def test_split_is_exact_up_to_two_sites():
+    # onsite energy counts excitations, which hopping conserves, so the parts commute
+    for n in (1, 2):
+        onsite, odd, _ = trotter_step_unitaries(n, 1.3, 0.7, 0.2)
+        (exact,) = trotter_step_unitaries(n, 1.3, 0.7, 0.2, method="exact_exponential")
+        assert np.abs(onsite @ odd - exact).max() < 1e-13
 
 
 def test_single_excitation_rabi_oscillation():
@@ -60,9 +109,7 @@ def test_trotter_error_is_first_order():
     for dt in (0.05, 0.025):
         steps = round(t_final / dt)
         split = trotter_step_unitaries(3, 1.0, 0.5, dt, method="trotter")
-        h = chain_hamiltonian(3, 1.0, 0.5)
-        w, v = np.linalg.eigh(h)
-        exact = ((v * np.exp(-1j * w * dt)) @ v.conj().T,)
+        exact = (_expm_dense(chain_hamiltonian(3, 1.0, 0.5), dt),)
         occ_split = evolve_occupations("100", split, None, steps)
         occ_exact = evolve_occupations("100", exact, None, steps)
         devs.append(np.abs(occ_split - occ_exact).max())
@@ -81,6 +128,9 @@ def test_exact_exponential_is_small_system_reference():
             trotter_step_unitaries(2, 1.0, 0.5, dt)
     with pytest.raises(ValueError, match="refusing"):
         trotter_step_unitaries(MATRIX_QUBIT_CAP + 1, 1.0, 0.5, 0.05)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one site"):
+            trotter_step_unitaries(n, 1.0, 0.5, 0.05)
     for bad in (math.nan, math.inf, -math.inf):
         for method in ("trotter", "exact_exponential"):
             with pytest.raises(ValueError, match="omega0"):

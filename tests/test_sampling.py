@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from noisim import sampling
 from noisim.channels import PauliChannel
 from noisim.sampling import run_trials, sample_indices
 
@@ -19,6 +22,35 @@ def test_thread_count_does_not_change_counts():
     serial = run_trials(CHANNEL, seed=3, n_trials=40, steps_per_trial=25, threads=1)
     pooled = run_trials(CHANNEL, seed=3, n_trials=40, steps_per_trial=25, threads=8)
     assert serial.counts == pooled.counts
+
+
+def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
+    # a recorder stands in for the pool and runs the trials serially, so no
+    # thread is started whatever the requested count
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
+    # (cores, trials, pool sizes); one worker runs serially without a pool
+    for cores, n_trials, pools in ((4, 40, [4]), (4, 3, [3]), (None, 40, [])):
+        requested.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        pooled = run_trials(CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=25, threads=100_000)
+        serial = run_trials(CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=25)
+        assert requested == pools
+        assert pooled.counts == serial.counts
 
 
 def test_counts_tally_and_frequencies():
