@@ -15,7 +15,13 @@ from noisim.choi import (
     theorem1_check,
 )
 
-from helpers import apply_channel_dense, dense_string, random_channel_terms, random_density
+from helpers import (
+    all_texts,
+    apply_channel_dense,
+    dense_string,
+    random_channel_terms,
+    random_density,
+)
 
 IDENTITY_1Q = PauliChannel([(1.0, "I")])
 DEPOLARIZING_1Q = PauliChannel(
@@ -172,3 +178,31 @@ def test_certificate_holds_on_random_pairs(seed, p):
     assert report.satisfied, [
         (c.name, c.lhs, c.rhs) for c in report.checks if not c.satisfied
     ]
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Channels a and b on 1-4 qubits over texts[:-1] and texts[1:]: both
+    supports share the middle strings, and each has one string of its own."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(seeds))
+    k = draw(st.integers(min_value=3, max_value=min(7, 4**n)))
+    texts = list(rng.choice(all_texts(n), size=k, replace=False))
+    wa, wb = rng.random(k - 1) + 1e-3, rng.random(k - 1) + 1e-3
+    a = PauliChannel(zip((wa / wa.sum()).tolist(), texts[:-1]))
+    b = PauliChannel(zip((wb / wb.sum()).tolist(), texts[1:]))
+    rho = DensityMatrix(random_density(rng, 2**n, pure=draw(st.booleans())))
+    return a, b, rho
+
+
+@given(overlapping_pairs(), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+@settings(max_examples=100, deadline=None)
+def test_closed_form_distances_match_dense_choi_states(pair, p):
+    a, b, rho = pair
+    delta = choi_state(a) - choi_state(b)
+    weighting = np.kron(np.eye(rho.dim), rho.matrix.T)
+    report = theorem1_check(a, b, rho, p)
+    assert report.choi_distance == pytest.approx(schatten_norm(delta, p), rel=1e-12)
+    assert report.weighted_choi_distance == pytest.approx(
+        schatten_norm(weighting @ delta, p), rel=1e-12
+    )

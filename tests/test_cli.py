@@ -148,6 +148,34 @@ def test_certify_at_large_p_reports_nonzero_distances(tmp_path):
     expected = 0.02 * 2 ** (1 / 250)
     assert data["choi_distance"] == pytest.approx(expected, rel=1e-12)
     assert data["output_distance"] == pytest.approx(expected, rel=1e-12)
+    # the checks compare p-th roots; p-th powers would read 0 <= 0
+    assert len(data["checks"]) == 4
+    for check in data["checks"]:
+        assert check["lhs"] > 0 and check["satisfied"], check
+
+
+def test_certify_builds_no_choi_state(tmp_path, monkeypatch):
+    def refuse(channel):
+        raise AssertionError("certify built a dense Choi state")
+
+    monkeypatch.setattr("noisim.choi.choi_state", refuse)
+    n = CHOI_QUBIT_CAP
+    weights_a = {"I" * n: 0.9, "X" * n: 0.06, "Z" + "I" * (n - 1): 0.04}
+    weights_b = {"I" * n: 0.8, "X" * n: 0.15, "Y" * n: 0.05}
+    a = _write(tmp_path, "a.json", {"terms": [
+        {"string": t, "weight": w} for t, w in weights_a.items()]})
+    b = _write(tmp_path, "b.json", {"terms": [
+        {"string": t, "weight": w} for t, w in weights_b.items()]})
+    out = tmp_path / "cert.json"
+    code = main([
+        "certify", "--channel-a", a, "--channel-b", b,
+        "--p", "2", "--state", ("01" * n)[:n], "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    delta = [weights_a.get(t, 0.0) - weights_b.get(t, 0.0) for t in {**weights_a, **weights_b}]
+    assert json.loads(out.read_text())["choi_distance"] == pytest.approx(
+        math.hypot(*delta), rel=1e-12
+    )
 
 
 def test_certify_accepts_inf(tmp_path):
