@@ -7,19 +7,15 @@ converge (or over-encoded), 3 invariant or certificate violation.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from typing import Any, Mapping, Sequence
-
-from typing import NoReturn
+from typing import Any, Mapping, NoReturn, Sequence
 
 from .channels import DensityMatrix
 from .choi import theorem1_check
 from .clusters import analyze_cluster
 from .dynamics import BenchmarkConfig, default_noise_channel, default_target_channel, run_benchmark
 from .encoder import OverEncodedError, effective_channel, encode
-from .pauli import PauliParseError, parse
+from .pauli import parse
 from .sampling import run_trials
 from .serialize import (
     benchmark_rows,
@@ -27,6 +23,7 @@ from .serialize import (
     channel_from_dict,
     cluster_to_dict,
     encoding_to_dict,
+    json_value,
     load_channel,
     load_json,
     sample_rows,
@@ -52,8 +49,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
-    if text.lower() in {"inf", "infinity"}:
-        return math.inf
     try:
         return float(text)
     except ValueError:
@@ -137,13 +132,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         target, noise, mode=args.mode, node=args.node, tol=args.tol, max_iters=args.max_iters
     )
     write_json(encoding_to_dict(result), args.out)
-    try:
-        audit_encoding(result)
-        if args.effective_out:
-            save_channel(effective_channel(result), args.effective_out)
-    except OverEncodedError as exc:
-        print(f"noisim encode: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    audit_encoding(result)
+    if args.effective_out:
+        save_channel(effective_channel(result), args.effective_out)
     print(
         f"{result.mode} encoding: {result.iterations} iterations, "
         f"encoded mass {result.encoded_mass:.6g}, stop reason {result.stop_reason}"
@@ -199,16 +190,6 @@ _BENCH_TYPES = {
     "n_steps": int, "initial": str, "encoder": str, "node": str,
     "tol": float, "max_iters": int, "step_method": str,
 }
-# the JSON values each field type accepts; true/false are never numbers here
-_JSON_KINDS = {int: ("integer", (int,)), float: ("number", (int, float)), str: ("string", (str,))}
-
-
-def _config_value(source: str, key: str, value: Any) -> Any:
-    kind = _BENCH_TYPES[key]
-    name, accepted = _JSON_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{source}: {key} must be a JSON {name}, got {value!r}")
-    return kind(value)
 
 
 def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
@@ -226,7 +207,8 @@ def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
         if "noise" in data:
             noise = channel_from_dict(data["noise"])
         settings.update(
-            {k: _config_value(args.config, k, data[k]) for k in _BENCH_TYPES if k in data}
+            {k: json_value(data[k], kind, f"{args.config}: {k}")
+             for k, kind in _BENCH_TYPES.items() if k in data}
         )
     for key in _BENCH_TYPES:
         value = getattr(args, key)
@@ -246,11 +228,7 @@ def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     config = _benchmark_config(args)
-    try:
-        result = run_benchmark(config)
-    except OverEncodedError as exc:
-        print(f"noisim benchmark: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    result = run_benchmark(config)
     write_csv(benchmark_rows(result), args.out)
     if args.encoding_out:
         write_json(encoding_to_dict(result.encoding), args.encoding_out)
@@ -294,10 +272,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"noisim: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except PauliParseError as exc:
-        print(f"noisim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except OverEncodedError as exc:
+        print(f"noisim {args.command}: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except (ValueError, OSError) as exc:
         print(f"noisim: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -73,6 +73,7 @@ class EncodingStep:
     residues: tuple[tuple[PauliString, float], ...]
 
 
+@dataclass(frozen=True, slots=True)
 class EncodingResult:
     """Outcome of an encoding run.
 
@@ -80,25 +81,16 @@ class EncodingResult:
     ledger value; `steps` is the schedule in execution order.
     """
 
-    __slots__ = ("mode", "target", "noise", "steps", "residues", "encoded_mass", "stop_reason")
+    mode: str
+    target: PauliChannel
+    noise: PauliChannel
+    steps: tuple[EncodingStep, ...]
+    residues: Mapping[PauliString, float]
+    encoded_mass: float
+    stop_reason: str
 
-    def __init__(
-        self,
-        mode: str,
-        target: PauliChannel,
-        noise: PauliChannel,
-        steps: tuple[EncodingStep, ...],
-        residues: dict[PauliString, float],
-        encoded_mass: float,
-        stop_reason: str,
-    ) -> None:
-        self.mode = mode
-        self.target = target
-        self.noise = noise
-        self.steps = steps
-        self.residues = MappingProxyType(dict(residues))
-        self.encoded_mass = encoded_mass
-        self.stop_reason = stop_reason
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "residues", MappingProxyType(dict(self.residues)))
 
     @property
     def iterations(self) -> int:
@@ -108,18 +100,13 @@ class EncodingResult:
     def converged(self) -> bool:
         return self.stop_reason == STOP_ALL_WITHIN_TOL
 
-    def _nonidentity_residues(self) -> list[float]:
-        return [r for s, r in self.residues.items() if not s.is_identity()]
-
     @property
     def max_residue(self) -> float:
-        vals = self._nonidentity_residues()
-        return max(vals) if vals else 0.0
+        return max((r for s, r in self.residues.items() if not s.is_identity()), default=0.0)
 
     @property
     def min_residue(self) -> float:
-        vals = self._nonidentity_residues()
-        return min(vals) if vals else 0.0
+        return min((r for s, r in self.residues.items() if not s.is_identity()), default=0.0)
 
     def __repr__(self) -> str:
         return (

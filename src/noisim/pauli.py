@@ -63,23 +63,11 @@ class PauliString:
 
     @property
     def text(self) -> str:
-        return "".join(self.letter(q) for q in range(1, self.n_qubits + 1))
-
-    def letter(self, q: int) -> str:
-        """Letter at qubit q (1-based)."""
-        if not 1 <= q <= self.n_qubits:
-            raise ValueError(f"qubit {q} out of range 1..{self.n_qubits}")
-        bit = q - 1
-        x = (self.x_mask >> bit) & 1
-        z = (self.z_mask >> bit) & 1
-        return _LETTERS[x + 2 * z]
+        x, z = self.x_mask, self.z_mask
+        return "".join(_LETTERS[(x >> b & 1) + 2 * (z >> b & 1)] for b in range(self.n_qubits))
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
-
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return (self.x_mask | self.z_mask).bit_count()
 
     def __str__(self) -> str:
         return self.text

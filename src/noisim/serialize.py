@@ -32,6 +32,7 @@ __all__ = [
     "channel_to_dict",
     "cluster_to_dict",
     "encoding_to_dict",
+    "json_value",
     "load_channel",
     "load_json",
     "sample_rows",
@@ -43,8 +44,7 @@ __all__ = [
 
 def atomic_write_text(text: str, path: str | os.PathLike) -> None:
     target = Path(path)
-    parent = target.parent if str(target.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=target.name + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -69,6 +69,21 @@ def load_json(path: str | os.PathLike) -> Any:
     """Parse a JSON file, refusing the NaN and Infinity literals."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh, parse_constant=_reject_constant)
+
+
+# the JSON values each field type accepts; true/false are never numbers here
+_JSON_KINDS = {int: ("integer", (int,)), float: ("number", (int, float)), str: ("string", (str,))}
+
+
+def json_value(value: Any, kind: type, label: str) -> Any:
+    """`value` as `kind` (int, float or str) if it has that JSON type; nothing is coerced."""
+    name, accepted = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{label} must be a JSON {name}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{label} is too large for a float") from None
 
 
 def _cell(value: Any) -> str:
@@ -107,15 +122,14 @@ def channel_from_dict(data: Mapping[str, Any]) -> PauliChannel:
     terms = []
     for i, entry in enumerate(data["terms"]):
         try:
-            string, weight = entry["string"], float(entry["weight"])
+            string, weight = entry["string"], entry["weight"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"term {i} needs 'string' and 'weight' fields") from exc
-        if not isinstance(string, str):
-            raise ValueError(f"term {i}: 'string' must be text, got {string!r}")
-        terms.append((weight, string))
+        weight = json_value(weight, float, f"term {i}: weight")
+        terms.append((weight, json_value(string, str, f"term {i}: string")))
     channel = PauliChannel(terms)
     declared = data.get("n_qubits")
-    if declared is not None and declared != channel.n_qubits:
+    if declared is not None and json_value(declared, int, "n_qubits") != channel.n_qubits:
         raise ValueError(
             f"declared n_qubits {declared!r} != string length {channel.n_qubits}"
         )

@@ -30,19 +30,20 @@ class InvariantViolation(Exception):
     """An exact bookkeeping identity failed beyond rounding tolerance."""
 
 
-def check_conservation(result: EncodingResult, atol: float = CONSERVATION_ATOL) -> float:
-    """Return |fsum(residues) + encoded_mass - 1|, raising above atol."""
+def check_conservation(result: EncodingResult) -> float:
+    """Return |fsum(residues) + encoded_mass - 1|, raising above CONSERVATION_ATOL."""
     defect = abs(
         math.fsum(list(result.residues.values()) + [result.encoded_mass]) - 1.0
     )
-    if defect > atol:
+    if defect > CONSERVATION_ATOL:
         raise InvariantViolation(
-            f"residues plus encoded mass differ from 1 by {defect:.3e} (atol {atol:.1e})"
+            f"residues plus encoded mass differ from 1 by {defect:.3e} "
+            f"(atol {CONSERVATION_ATOL:.1e})"
         )
     return defect
 
 
-def check_decomposition(result: EncodingResult, atol: float = CONSERVATION_ATOL) -> float:
+def check_decomposition(result: EncodingResult) -> float:
     """Return max_s |target(s) - residue(s) - effective(s)| over s != identity.
 
     The identity string is excluded: it absorbs the unscheduled remainder,
@@ -58,16 +59,17 @@ def check_decomposition(result: EncodingResult, atol: float = CONSERVATION_ATOL)
             result.target.weight(s) - result.residues.get(s, 0.0) - effective.weight(s)
         )
         defect = max(defect, gap)
-    if defect > atol:
+    if defect > CONSERVATION_ATOL:
         raise InvariantViolation(
-            f"target/residue/effective decomposition off by {defect:.3e} (atol {atol:.1e})"
+            f"target/residue/effective decomposition off by {defect:.3e} "
+            f"(atol {CONSERVATION_ATOL:.1e})"
         )
     return defect
 
 
-def audit_encoding(result: EncodingResult, atol: float = CONSERVATION_ATOL) -> dict[str, float]:
+def audit_encoding(result: EncodingResult) -> dict[str, float]:
     """Run every audit; raises InvariantViolation on the first failure."""
     return {
-        "conservation_defect": check_conservation(result, atol),
-        "decomposition_defect": check_decomposition(result, atol),
+        "conservation_defect": check_conservation(result),
+        "decomposition_defect": check_decomposition(result),
     }

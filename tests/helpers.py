@@ -4,14 +4,16 @@ Everything here is built from first principles (explicit 2x2 matrices and
 Kronecker products) so the tests cross-check the package against an
 independent implementation rather than against itself. The one exception,
 `orbit_bfs`, walks products from `multiply`, which criterion 1 checks
-against dense matrices.
+against dense matrices. `shift_residue` corrupts an encoding result so the
+tests can reach the invariant audits' failure paths.
 """
 
 from itertools import product
 
 import numpy as np
 
-from noisim.pauli import multiply
+from noisim.encoder import EncodingResult
+from noisim.pauli import identity, multiply
 
 PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -71,6 +73,18 @@ def random_density(rng, dim: int, *, pure: bool = False) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def shift_residue(result, shift: float, *, onto_identity: bool = False) -> EncodingResult:
+    """A copy of `result` with its first non-identity residue moved by `shift`;
+    with `onto_identity` the identity takes -shift, so conservation still holds."""
+    residues = dict(result.residues)
+    s = next(s for s in residues if not s.is_identity())
+    residues[s] += shift
+    if onto_identity:
+        residues[identity(s.n_qubits)] = residues.get(identity(s.n_qubits), 0.0) - shift
+    return EncodingResult(result.mode, result.target, result.noise, result.steps, residues,
+                          result.encoded_mass, result.stop_reason)
 
 
 def orbit_bfs(node, generators) -> frozenset:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,8 @@ def test_renyi_entropy_limits():
     for p in (1, 1.5, 2, math.inf):
         assert renyi_entropy(pure, p) == pytest.approx(0.0, abs=1e-12)
         assert renyi_entropy(mixed, p) == pytest.approx(math.log(4))
+    # Tr rho**250 = 32**-249 underflows to 0; the scaled sum does not
+    assert renyi_entropy(DensityMatrix.maximally_mixed(32), 250) == pytest.approx(math.log(32))
     with pytest.raises(ValueError):
         renyi_entropy(np.diag([1.5, -0.5]), 2)
     with pytest.raises(ValueError):
@@ -128,10 +131,16 @@ def test_certificate_validation():
         choi_state(wide)
     with pytest.raises(ValueError, match="refusing"):
         theorem1_check(wide, wide, DensityMatrix.maximally_mixed(2**n), 2)
-    # d**(2p - 1) would overflow a float; p = inf is the order to use there
+    # any finite p is accepted: no quantity overflows or underflows at large p
+    noisy = PauliChannel([(0.9, "II"), (0.06, "XZ"), (0.04, "YI")])
     for p in (600, 1e308):
-        with pytest.raises(ValueError, match="p inf"):
-            theorem1_check(two_qubit, two_qubit, DensityMatrix.maximally_mixed(4), p)
+        for rho in (DensityMatrix.maximally_mixed(4), DensityMatrix.from_basis_label("10")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = theorem1_check(two_qubit, noisy, rho, p)
+            assert report.satisfied and len(report.checks) == 4
+            values = [report.renyi] + [v for c in report.checks for v in (c.lhs, c.rhs)]
+            assert all(math.isfinite(v) for v in values), (p, values)
 
 
 def test_duality_inverts_choi_state():

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noisim.choi import CHOI_QUBIT_CAP
-from noisim.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from noisim.choi import CHOI_QUBIT_CAP, CertificateCheck, CertificateReport
+from noisim.cli import EXIT_INVARIANT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 from noisim.clusters import ORBIT_RANK_CAP
+from noisim.encoder import encode_adaptive
 from noisim.pauli import MATRIX_QUBIT_CAP
+from noisim.serialize import channel_from_dict
+
+from helpers import shift_residue
 
 FOUR_WAY = {"terms": [{"string": t, "weight": 0.25} for t in ("YI", "ZX", "XZ", "IY")]}
 SYM_NOISE = {"terms": [
@@ -73,6 +77,45 @@ def test_encode_over_unity_exits_two(files, capsys):
     assert "exceeds 1" in capsys.readouterr().err
     # the result file is still written for inspection
     assert json.loads(out.read_text())["stop_reason"] == "max_iters"
+
+
+def test_benchmark_over_unity_exits_two(files, capsys):
+    out = files["dir"] / "occ.csv"
+    code = main([
+        "benchmark", "--target", files["target"], "--noise", files["noise"],
+        "--encoder", "fixed", "--node", "XZ", "--tol", "0", "--max-iters", "60",
+        "--out", str(out),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("noisim benchmark:") and "exceeds 1" in err
+    assert not out.exists()
+
+
+def test_encode_invariant_violation_exits_three(files, capsys, monkeypatch):
+    real = encode_adaptive(channel_from_dict(FOUR_WAY), channel_from_dict(SYM_NOISE), tol=0.1)
+    broken = shift_residue(real, -1e-6, onto_identity=True)  # conservation still holds
+    monkeypatch.setattr("noisim.cli.encode", lambda *args, **kwargs: broken)
+    code = main([
+        "encode", "--target", files["target"], "--noise", files["noise"],
+        "--out", str(files["dir"] / "enc.json"),
+    ])
+    assert code == EXIT_INVARIANT
+    assert "invariant violation" in capsys.readouterr().err
+
+
+def test_certify_violation_exits_three(files, capsys, monkeypatch):
+    report = CertificateReport(
+        p=2.0, dim=4, output_distance=1.0, choi_distance=0.0, weighted_choi_distance=0.0,
+        renyi=0.0, checks=(CertificateCheck("output_vs_choi", 1.0, 0.0),),
+    )
+    monkeypatch.setattr("noisim.cli.theorem1_check", lambda *args: report)
+    code = main([
+        "certify", "--channel-a", files["target"], "--channel-b", files["noise"],
+        "--out", str(files["dir"] / "cert.json"),
+    ])
+    assert code == EXIT_INVARIANT
+    assert "certificate violated" in capsys.readouterr().err
 
 
 def test_encode_stalled_exits_two(files, tmp_path):
@@ -292,11 +335,6 @@ def test_nan_order_and_step_exit_one(files, capsys):
         (["benchmark", "--tol", "inf"], "tol"),
         (["benchmark", "--omega0", "nan"], "omega0"),
         (["benchmark", "--coupling", "inf"], "coupling"),
-        # d**(2p - 1) overflows a float, and at p = 1e308 the distances would read 0
-        (["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "600",
-          "--state", "10"], "--p inf"),
-        (["certify", "--channel-a", files["target"], "--channel-b", files["noise"], "--p", "1e308",
-          "--state", "10"], "--p inf"),
     ):
         # refused at the boundary, before numpy meets the value and warns
         with warnings.catch_warnings():
@@ -305,6 +343,20 @@ def test_nan_order_and_step_exit_one(files, capsys):
         assert code == EXIT_USAGE, argv
         assert name in capsys.readouterr().err, argv
         assert not (files["dir"] / "x.out").exists(), argv
+
+
+@pytest.mark.parametrize("p", ["600", "1e308"])
+def test_certify_at_any_finite_p(files, p):
+    out = files["dir"] / "cert.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["certify", "--channel-a", files["target"], "--channel-b", files["noise"],
+                     "--p", p, "--state", "10", "--out", str(out)])
+    assert code == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["satisfied"] is True and len(data["checks"]) == 4
+    values = [data["renyi_entropy"]] + [c[k] for c in data["checks"] for k in ("lhs", "rhs")]
+    assert all(math.isfinite(v) for v in values), values
 
 
 def test_oversized_dense_states_exit_one(tmp_path, capsys):
@@ -341,7 +393,8 @@ def channel_documents(draw):
     fault = draw(st.sampled_from(FAULTS))
     term = terms[draw(st.integers(0, k - 1))]
     if fault == "weight":
-        term["weight"] = draw(st.sampled_from([-0.25, math.nan, math.inf, -math.inf]))
+        # 10**400 is a JSON integer too large for a float
+        term["weight"] = draw(st.sampled_from([-0.25, math.nan, math.inf, -math.inf, 10**400]))
     elif fault == "sum":
         factor = draw(st.sampled_from([0.0, 0.5, 1.5, 3.0]))
         for t in terms:
@@ -354,12 +407,14 @@ def channel_documents(draw):
     elif fault == "missing":
         del term[draw(st.sampled_from(["string", "weight"]))]
     elif fault == "type":
-        term[draw(st.sampled_from(["string", "weight"]))] = draw(st.sampled_from([5, None, ["X"]]))
+        term[draw(st.sampled_from(["string", "weight"]))] = draw(
+            st.sampled_from([5, None, ["X"], True, "0.5"])
+        )
     elif fault == "empty":
         terms.clear()
     doc = {"terms": terms}
     if fault == "n_qubits":
-        doc["n_qubits"] = draw(st.sampled_from([n + 1, "x", [n]]))
+        doc["n_qubits"] = draw(st.sampled_from([n + 1, "x", [n], True]))
     elif draw(st.booleans()):
         doc["n_qubits"] = n
     return doc, fault

@@ -52,6 +52,16 @@ def test_channel_from_dict_validation():
         channel_from_dict(
             {"n_qubits": 3, "terms": [{"string": "XZ", "weight": 1.0}]}
         )
+    # values must have their JSON types, as in benchmark configs; nothing is coerced
+    for doc, message in (
+        ({"terms": [{"string": "I", "weight": True}]}, "term 0: weight must be a JSON number"),
+        ({"terms": [{"string": "I", "weight": "1"}]}, "term 0: weight must be a JSON number"),
+        ({"terms": [{"string": "I", "weight": 10**400}]}, "term 0: weight is too large"),
+        ({"terms": [{"string": 5, "weight": 1.0}]}, "term 0: string must be a JSON string"),
+        ({"n_qubits": True, "terms": [{"string": "I", "weight": 1.0}]}, "n_qubits must be"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            channel_from_dict(doc)
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
