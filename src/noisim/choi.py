@@ -35,22 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
+from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _apply_channel_raw
 from .pauli import monomial
 
 __all__ = [
     "CHOI_QUBIT_CAP",
     "CertificateCheck",
     "CertificateReport",
-    "EIG_CLIP",
     "apply_from_choi",
     "choi_state",
     "renyi_entropy",
     "schatten_norm",
     "theorem1_check",
 ]
-
-EIG_CLIP = -1e-12
 
 # Larger channels are refused: a Choi state is a dense 4**n x 4**n matrix, and
 # the certificate's column matrix B is 4**n x T.
@@ -117,8 +114,8 @@ def renyi_entropy(rho: np.ndarray | DensityMatrix, p: float) -> float:
         raise ValueError(f"Renyi order must be positive, got {p}")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     eig = np.linalg.eigvalsh(mat)
-    if eig.min() < EIG_CLIP:
-        raise ValueError(f"state has eigenvalue {eig.min():.3e} below {EIG_CLIP}")
+    if eig.min() < EIGENVALUE_FLOOR:
+        raise ValueError(f"state has eigenvalue {eig.min():.3e} below {EIGENVALUE_FLOOR}")
     eig = np.clip(eig, 0.0, None)
     if math.isinf(p):
         return float(-math.log(eig.max()))

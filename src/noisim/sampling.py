@@ -3,7 +3,7 @@
 Every trial owns the generator np.random.default_rng([seed, trial]), so
 results are a pure function of (seed, n_trials, steps_per_trial): the
 thread count, scheduling order and rerun count cannot change a single
-draw. Trial counts are combined in trial order.
+draw. Each worker sums the counts of one contiguous block of trials.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 from .channels import PauliChannel
 
 __all__ = ["SampleReport", "run_trials", "sample_indices"]
+
+_CHUNK = 1 << 16  # draws per call, so memory does not grow with the step count
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,8 @@ def sample_indices(
     """Indices into channel.terms, drawn by inverse transform sampling."""
     if n_samples < 0:
         raise ValueError(f"need n_samples >= 0, got {n_samples}")
-    cum = _cumulative(channel)
-    draws = rng.random(n_samples)
-    idx = np.searchsorted(cum, draws, side="right")
-    return np.minimum(idx, len(channel.terms) - 1)
+    # draws are < 1.0, the last cumulative weight, so no index reaches len(terms)
+    return np.searchsorted(_cumulative(channel), rng.random(n_samples), side="right")
 
 
 def run_trials(
@@ -78,19 +78,20 @@ def run_trials(
         raise ValueError(f"need threads >= 1, got {threads}")
     n_terms = len(channel.terms)
 
-    def one_trial(trial: int) -> np.ndarray:
-        rng = np.random.default_rng([seed, trial])
-        idx = sample_indices(channel, steps_per_trial, rng)
-        return np.bincount(idx, minlength=n_terms)
+    def block(trials: range) -> np.ndarray:
+        counts = np.zeros(n_terms, dtype=np.int64)
+        for trial in trials:
+            rng = np.random.default_rng([seed, trial])
+            for start in range(0, steps_per_trial, _CHUNK):
+                idx = sample_indices(channel, min(_CHUNK, steps_per_trial - start), rng)
+                counts += np.bincount(idx, minlength=n_terms)
+        return counts
 
     # more workers than trials or cores adds threads and no speed
     workers = min(threads, n_trials, os.cpu_count() or 1)
-    if workers == 1:
-        parts = [one_trial(t) for t in range(n_trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_trial, range(n_trials)))
-    totals = np.sum(parts, axis=0)
+    bounds = [n_trials * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        totals = sum(pool.map(block, map(range, bounds[:-1], bounds[1:])))
     return SampleReport(
         channel=channel,
         seed=seed,

@@ -143,6 +143,21 @@ def test_certificate_validation():
             assert all(math.isfinite(v) for v in values), (p, values)
 
 
+def test_certificate_accepts_every_state_the_constructor_accepts():
+    # eigenvalue -5e-10 lies above the DensityMatrix floor of -1e-9
+    rho = DensityMatrix(np.diag([0.7 + 5e-10, 0.3, 0.0, -5e-10]))
+    ideal = PauliChannel([(1.0, "II")])
+    noisy = PauliChannel([(0.9, "II"), (0.06, "XZ"), (0.04, "YI")])
+    for p in (1, 1.5, 2, 3, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = theorem1_check(ideal, noisy, rho, p)
+        assert report.satisfied, p
+        values = [v for c in report.checks for v in (c.lhs, c.rhs)]
+        assert all(math.isfinite(v) for v in values), (p, values)
+        assert report.renyi is None or math.isfinite(report.renyi)
+
+
 def test_duality_inverts_choi_state():
     rng = np.random.default_rng(17)
     for n in (1, 2):

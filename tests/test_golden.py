@@ -54,6 +54,12 @@ CASES = {
          "--steps", "30", "--threads", "1", "--out", "{out}"],
         {"out": "bf4af130ed51a37aed14521f5b2e2acaeb603e3fb474fe1835ae37e414a8f7e1"},
     ),
+    # two workers, blocks of 3 and 4 trials, each trial three full chunks and a rest
+    "sample-blocks": (
+        ["sample", "--channel", "{target}", "--seed", "11", "--trials", "7",
+         "--steps", "200003", "--threads", "2", "--out", "{out}"],
+        {"out": "ab5b66a88e06d2bf913be16ffc58b1220b44e046401dc6f2e9c93480e97bd691"},
+    ),
     "cluster-16q": (
         ["cluster", "--node", NODE16, "--generators", *GENERATORS16, "--out", "{out}"],
         {"out": "033468ad3a9d9482991c220720bc727f796f5ef924c4bef3be246a48f79e7778"},

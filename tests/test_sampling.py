@@ -18,16 +18,31 @@ def test_sampling_is_deterministic_per_seed():
     assert a.counts != c.counts
 
 
-def test_thread_count_does_not_change_counts():
-    serial = run_trials(CHANNEL, seed=3, n_trials=40, steps_per_trial=25, threads=1)
-    pooled = run_trials(CHANNEL, seed=3, n_trials=40, steps_per_trial=25, threads=8)
-    assert serial.counts == pooled.counts
+def _oracle_counts(seed, n_trials, steps):
+    # one full-length draw per trial, then inverse transform and a tally
+    cum = np.cumsum([w for w, _ in CHANNEL.terms])
+    cum[-1] = 1.0
+    totals = np.zeros(len(CHANNEL.terms), dtype=np.int64)
+    for t in range(n_trials):
+        draws = np.random.default_rng([seed, t]).random(steps)
+        totals += np.bincount(np.searchsorted(cum, draws, side="right"), minlength=len(cum))
+    return tuple(int(c) for c in totals)
+
+
+def test_thread_count_does_not_change_counts(monkeypatch):
+    # a trial longer than one chunk, split over blocks of unequal size
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    steps = sampling._CHUNK + 3
+    expected = _oracle_counts(3, 7, steps)
+    for threads in (1, 2, 3, 8):
+        report = run_trials(CHANNEL, seed=3, n_trials=7, steps_per_trial=steps, threads=threads)
+        assert report.counts == expected
 
 
 def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
-    # a recorder stands in for the pool and runs the trials serially, so no
+    # a recorder stands in for the pool and runs the blocks serially, so no
     # thread is started whatever the requested count
-    requested = []
+    requested, blocks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -40,17 +55,23 @@ def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            blocks.append(items)
             return map(fn, items)
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
-    # (cores, trials, pool sizes); one worker runs serially without a pool
-    for cores, n_trials, pools in ((4, 40, [4]), (4, 3, [3]), (None, 40, [])):
+    # (cores, trials, pool sizes)
+    for cores, n_trials, pools in ((4, 40, [4]), (4, 3, [3]), (None, 40, [1])):
         requested.clear()
+        blocks.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        pooled = run_trials(CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=25, threads=100_000)
-        serial = run_trials(CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=25)
+        report = run_trials(CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=25, threads=100_000)
         assert requested == pools
-        assert pooled.counts == serial.counts
+        # one nonempty contiguous range per worker, covering every trial once
+        (ranges,) = blocks
+        assert len(ranges) == pools[0] and all(len(r) > 0 for r in ranges)
+        assert [t for r in ranges for t in r] == list(range(n_trials))
+        assert report.counts == _oracle_counts(3, n_trials, 25)
 
 
 def test_counts_tally_and_frequencies():
