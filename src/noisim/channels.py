@@ -96,7 +96,7 @@ class PauliChannel:
     and sum to one within 1e-12.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "terms", "_weights")
 
     def __init__(self, terms: Iterable[tuple[float, PauliString]]) -> None:
         by_string: dict[PauliString, list[float]] = {}
@@ -120,16 +120,14 @@ class PauliChannel:
         merged.sort(key=lambda ws: ws[1].text)
         self.n_qubits = ns.pop()
         self.terms = tuple(merged)
+        self._weights = {s: w for w, s in merged}
 
     @property
     def support(self) -> tuple[PauliString, ...]:
         return tuple(s for _, s in self.terms)
 
     def weight(self, string: PauliString) -> float:
-        for w, s in self.terms:
-            if s == string:
-                return w
-        return 0.0
+        return self._weights.get(string, 0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliChannel):

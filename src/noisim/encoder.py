@@ -161,10 +161,12 @@ def _adaptive_rule(noise: PauliChannel, id_string: PauliString) -> _NodeRule:
     w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
 
     def pick(ledger: Mapping[PauliString, float], masses: list[float]):
-        pending = [(r, s) for s, r in ledger.items() if not s.is_identity() and r > 0.0]
+        pending = [(r, s) for s, r in ledger.items() if r > 0.0 and not s.is_identity()]
         if not pending:
             return None
-        r_star, s_star = min(pending, key=lambda rs: (-rs[0], rs[1].text))
+        # the largest residue, ties to the smallest text; texts only for the ties
+        r_star = max(r for r, _ in pending)
+        s_star = min((s for r, s in pending if r == r_star), key=lambda s: s.text)
         budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
         return multiply(q_star, s_star).string, min(r_star / w_star, budget)
 

@@ -33,6 +33,11 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # Letter for (x, z) indexed as x + 2z.
 _LETTERS = "IXZY"
+# Text of four qubits indexed by (x nibble) | (z nibble) << 4, lowest bit first.
+_NIBBLE_TEXT = tuple(
+    "".join(_LETTERS[(i >> b & 1) + 2 * (i >> (b + 4) & 1)] for b in range(4))
+    for i in range(256)
+)
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 # Dense states and step unitaries above this size are refused; memory grows as 4**n.
@@ -63,8 +68,15 @@ class PauliString:
 
     @property
     def text(self) -> str:
-        x, z = self.x_mask, self.z_mask
-        return "".join(_LETTERS[(x >> b & 1) + 2 * (z >> b & 1)] for b in range(self.n_qubits))
+        # four qubits per lookup; the last chunk can overrun n_qubits and is cut
+        x, z, left = self.x_mask, self.z_mask, self.n_qubits
+        text = ""
+        while left > 0:
+            text += _NIBBLE_TEXT[(x & 15) | (z & 15) << 4]
+            x >>= 4
+            z >>= 4
+            left -= 4
+        return text[: self.n_qubits]
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0

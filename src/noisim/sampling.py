@@ -53,14 +53,18 @@ def _cumulative(channel: PauliChannel) -> np.ndarray:
     return cum
 
 
+def _draw(cum: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    # draws are < 1.0, the last cumulative weight, so no index reaches len(terms)
+    return np.searchsorted(cum, rng.random(n_samples), side="right")
+
+
 def sample_indices(
     channel: PauliChannel, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Indices into channel.terms, drawn by inverse transform sampling."""
     if n_samples < 0:
         raise ValueError(f"need n_samples >= 0, got {n_samples}")
-    # draws are < 1.0, the last cumulative weight, so no index reaches len(terms)
-    return np.searchsorted(_cumulative(channel), rng.random(n_samples), side="right")
+    return _draw(_cumulative(channel), n_samples, rng)
 
 
 def run_trials(
@@ -77,13 +81,14 @@ def run_trials(
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     n_terms = len(channel.terms)
+    cum = _cumulative(channel)
 
     def block(trials: range) -> np.ndarray:
         counts = np.zeros(n_terms, dtype=np.int64)
         for trial in trials:
             rng = np.random.default_rng([seed, trial])
             for start in range(0, steps_per_trial, _CHUNK):
-                idx = sample_indices(channel, min(_CHUNK, steps_per_trial - start), rng)
+                idx = _draw(cum, min(_CHUNK, steps_per_trial - start), rng)
                 counts += np.bincount(idx, minlength=n_terms)
         return counts
 

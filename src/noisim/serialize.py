@@ -2,8 +2,9 @@
 
 Output files are written to a temporary sibling and moved into place with
 os.replace, so readers never observe partial files and reruns are
-byte-for-byte stable: JSON uses indent=2 with sorted keys, CSV uses LF
-line endings, alphabetical headers and repr() for floats.
+byte-for-byte stable: JSON is written by one emitter whose output equals
+json.dumps(indent=2, sort_keys=True), CSV uses LF line endings,
+alphabetical headers and repr() for floats.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -57,8 +59,66 @@ def atomic_write_text(text: str, path: str | os.PathLike) -> None:
         raise
 
 
+def _float_text(value: float) -> str:
+    # json's spellings of the non-finite values
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(value: Any, indent: str) -> str:
+    """`value` as json.dumps(indent=2, sort_keys=True) writes it at this depth.
+
+    json.dumps with an indent runs json's pure-Python encoder; here C string
+    quoting and float repr do the work, and a map of floats is one join.
+    Raises TypeError on a non-str key or a value that is not a str, int,
+    float, bool, None, list, tuple or dict.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + items + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:
+            keys = sorted(value)
+            quoted = [encode_basestring_ascii(k) + ": " for k in keys]
+        except TypeError:
+            bad = next(k for k in value if not isinstance(k, str))
+            raise TypeError(f"JSON object keys must be str, not {type(bad).__name__}") from None
+        values = [value[k] for k in keys]
+        # a sum of floats is finite only if every term is
+        if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+            texts = map(float.__repr__, values)
+        else:
+            texts = [_json_text(v, inner) for v in values]
+        items = sep.join(map(str.__add__, quoted, texts))
+        return "{\n" + inner + items + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(data: Any, path: str | os.PathLike) -> None:
-    atomic_write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
+    atomic_write_text(_json_text(data, "") + "\n", path)
 
 
 def _reject_constant(name: str) -> Any:
@@ -148,6 +208,9 @@ def load_channel(path: str | os.PathLike) -> PauliChannel:
 
 
 def encoding_to_dict(result: EncodingResult) -> dict:
+    # one text per string: the ledger only grows, so the final residues hold
+    # every snapshot's strings (`or` covers results built by hand)
+    text = {s: s.text for s in result.residues}
     return {
         "mode": result.mode,
         "stop_reason": result.stop_reason,
@@ -161,11 +224,11 @@ def encoding_to_dict(result: EncodingResult) -> dict:
                 "iteration": s.iteration,
                 "node": s.node.text,
                 "mass": s.mass,
-                "residues": {p.text: r for p, r in s.residues},
+                "residues": {text.get(p) or p.text: r for p, r in s.residues},
             }
             for s in result.steps
         ],
-        "residues": {s.text: r for s, r in result.residues.items()},
+        "residues": {text[s]: r for s, r in result.residues.items()},
         "target": channel_to_dict(result.target),
         "noise": channel_to_dict(result.noise),
     }

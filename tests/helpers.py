@@ -31,6 +31,12 @@ def dense_string(text: str) -> np.ndarray:
     return out
 
 
+def text_oracle(n: int, x_mask: int, z_mask: int) -> str:
+    """Text of a string one qubit at a time; qubit q is bit q-1 of each mask."""
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    return "".join(letters[x_mask >> q & 1, z_mask >> q & 1] for q in range(n))
+
+
 def all_texts(n: int) -> list[str]:
     return ["".join(p) for p in product("IXYZ", repeat=n)]
 

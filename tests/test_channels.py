@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from noisim.channels import DensityMatrix, PauliChannel, apply_pauli_channel
 from noisim.pauli import MATRIX_QUBIT_CAP, parse
 
-from helpers import apply_channel_dense, random_channel_terms, random_density
+from helpers import all_texts, apply_channel_dense, random_channel_terms, random_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -20,6 +20,20 @@ def test_channel_canonical_form():
     assert ch.weight(parse("YY")) == 0.0
     assert ch.support == (parse("II"), parse("XZ"))
     assert ch.n_qubits == 2
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_weight_matches_linear_scan(seed, n):
+    rng = np.random.default_rng(seed)
+    channel = PauliChannel(random_channel_terms(rng, n, max_terms=8))
+    # every string of n qubits, so most lie outside the support, each parsed
+    # afresh (equal to the channel's strings, not the same objects), and
+    # strings of other qubit counts
+    queries = [parse(t) for t in all_texts(n) + all_texts(n + 1)[:8]]
+    for q in queries:
+        scan = next((w for w, s in channel.terms if s == q), 0.0)
+        assert channel.weight(q) == scan
 
 
 def test_channel_validation():

@@ -20,7 +20,8 @@ from noisim.encoder import (
     encode_adaptive,
     encode_fixed,
 )
-from noisim.pauli import parse
+from noisim.encoder import _adaptive_rule
+from noisim.pauli import identity, multiply, parse
 
 from helpers import random_channel_terms
 
@@ -71,6 +72,23 @@ def test_adaptive_trajectory_matches_rational_oracle():
     expected = {"IY": Fraction(-1, 16), "XZ": 0, "YI": Fraction(1, 16), "ZX": Fraction(1, 16)}
     for text, value in expected.items():
         assert abs(result.residues[parse(text)] - value) < 1e-12
+
+
+def test_adaptive_breaks_exact_ties_by_text():
+    # ZX, XZ and IY tie exactly at 0.2; Q* is XX, so the node is XX * IY
+    target = PauliChannel([(0.4, "II"), (0.2, "ZX"), (0.2, "XZ"), (0.2, "IY")])
+    noise = PauliChannel([(0.3, "II"), (0.7, "XX")])
+    q_star_iy = multiply(parse("XX"), parse("IY")).string
+    result = encode_adaptive(target, noise, tol=1e-6)
+    assert result.steps[0].node == q_star_iy
+    # encode's ledger starts from the text-sorted target terms, and strings it
+    # adds later only go down, so its pending ties are always in text order;
+    # the rule must give the same node for a ledger in another order
+    ledger = {parse(t): r for t, r in (("ZX", 0.2), ("II", 0.4), ("XZ", 0.2),
+                                        ("YY", -0.1), ("IY", 0.2), ("XI", 0.1))}
+    node, mass = _adaptive_rule(noise, identity(2))(ledger, [])
+    assert node == q_star_iy
+    assert mass == 0.2 / 0.7
 
 
 def test_adaptive_beats_fixed_on_worst_residue():

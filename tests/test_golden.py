@@ -1,9 +1,10 @@
 """Golden output bytes of the deterministic CLI commands.
 
 Each case runs one command in-process and pins the sha256 of every file it
-writes. The inputs are the criterion-9 fixture and one 16-qubit cluster
-whose orbit has 2**12 members. `certify` and `benchmark` are left out: they
-go through LAPACK, whose last bits can differ between builds.
+writes. The inputs are the criterion-9 fixture, one 16-qubit cluster whose
+orbit has 2**12 members, and 10-qubit encodes, whose strings fill two
+four-qubit text chunks and half of a third. `certify` and `benchmark` are
+left out: they go through LAPACK, whose last bits can differ between builds.
 """
 
 import hashlib
@@ -17,6 +18,25 @@ TARGET = {"terms": [
     {"string": "II", "weight": 0.95}, {"string": "XZ", "weight": 0.03},
     {"string": "IY", "weight": 0.02}]}
 NOISE = {"terms": [{"string": "II", "weight": 0.6}, {"string": "XX", "weight": 0.4}]}
+
+# 10 qubits; every non-identity noise string has a letter past qubit 8
+NOISE10 = {"terms": [
+    {"string": "IIIIIIIIII", "weight": 0.55}, {"string": "XIIIZIIIIY", "weight": 0.2},
+    {"string": "IZIIIIXIYI", "weight": 0.15}, {"string": "IIIYIIIIZX", "weight": 0.1}]}
+# realized by scheduling XYZIIIIZYX, IIIIIXXIIZ and ZIIIIIIIIY with masses
+# 0.1, 0.04 and 0.02 under NOISE10
+TARGET10 = {"terms": [{"string": s, "weight": w} for s, w in [
+    ("IIIIIIIIII", 0.84), ("XYZIIIIZYX", 0.055), ("IIIIIXXIIZ", 0.022),
+    ("IYZIZIIZYZ", 0.02), ("XXZIIIXZIX", 0.015), ("ZIIIIIIIIY", 0.011),
+    ("XYZYIIIZXI", 0.01), ("XIIIZXXIIX", 0.008), ("IZIIIXIIYZ", 0.006),
+    ("IIIYIXXIZY", 0.004), ("YIIIZIIIII", 0.004), ("ZZIIIIXIYY", 0.003),
+    ("ZIIYIIIIZZ", 0.002)]]}
+# the images of node XYZIIIIZYX under NOISE10, weighted off its ratios so
+# the fixed encoder overshoots some of them
+FIXED10 = {"terms": [
+    {"string": "IIIIIIIIII", "weight": 0.9}, {"string": "XYZIIIIZYX", "weight": 0.05},
+    {"string": "IYZIZIIZYZ", "weight": 0.025}, {"string": "XXZIIIXZIX", "weight": 0.015},
+    {"string": "XYZYIIIZXI", "weight": 0.01}]}
 
 # twelve independent 16-qubit generators, two of their products and the
 # identity, so the orbit has 2**12 members
@@ -45,6 +65,22 @@ CASES = {
             "extra": "e29e32dd75301f305434f967b7d5d33ffc3fa671a2cd9087ce6e1b32b3cf5f28",
         },
     ),
+    "encode-adaptive-10q": (
+        ["encode", "--target", "{target10}", "--noise", "{noise10}", "--tol", "1e-6",
+         "--out", "{out}", "--effective-out", "{extra}"],
+        {
+            "out": "38a83cd1444636015a639c475031e3bea9afef362b9eb6bc2570997b22a1a7bf",
+            "extra": "593e9cc55aec1a9a9628103cbb4f7741150c7f241d5ca029829ff94f8d898f2c",
+        },
+    ),
+    "encode-fixed-10q": (
+        ["encode", "--target", "{fixed10}", "--noise", "{noise10}", "--mode", "fixed",
+         "--node", "XYZIIIIZYX", "--out", "{out}", "--effective-out", "{extra}"],
+        {
+            "out": "fe5470f85084e80768a684e55b926e715e628e9cf0df630261a3d41f5cba068f",
+            "extra": "28050b0c54f37e8dbd9628af806389f4eb16b5b912b2de36daf2e73208084549",
+        },
+    ),
     "cluster": (
         ["cluster", "--node", "XZ", "--noise", "{noise}", "--out", "{out}"],
         {"out": "1d2a57d418242d1e6af61da4552e72f86ef2464af9111b05d8c2ed9fc85a260c"},
@@ -69,14 +105,13 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_are_pinned(tmp_path, name):
-    paths = {
-        "target": tmp_path / "target.json",
-        "noise": tmp_path / "noise.json",
-        "out": tmp_path / "out",
-        "extra": tmp_path / "extra",
-    }
-    paths["target"].write_text(json.dumps(TARGET))
-    paths["noise"].write_text(json.dumps(NOISE))
+    inputs = {"target": TARGET, "noise": NOISE, "target10": TARGET10, "noise10": NOISE10,
+              "fixed10": FIXED10}
+    paths = {key: tmp_path / f"{key}.json" for key in inputs}
+    for key, doc in inputs.items():
+        paths[key].write_text(json.dumps(doc))
+    paths["out"] = tmp_path / "out"
+    paths["extra"] = tmp_path / "extra"
     template, expected = CASES[name]
     argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in template]
     assert main(argv) == EXIT_OK

@@ -13,7 +13,7 @@ from noisim.pauli import (
     parse,
 )
 
-from helpers import all_texts, dense_string
+from helpers import all_texts, dense_string, text_oracle
 
 texts = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
@@ -21,6 +21,18 @@ texts = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 @given(texts)
 def test_parse_text_round_trip(text):
     assert parse(text).text == text
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_text_matches_per_qubit_oracle(data):
+    # up to 40 qubits, so the four-qubit chunks run past the first and end part-filled
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    x = data.draw(st.integers(min_value=0, max_value=2**n - 1))
+    z = data.draw(st.integers(min_value=0, max_value=2**n - 1))
+    text = PauliString(n, x, z).text
+    assert text == text_oracle(n, x, z)
+    assert parse(text) == PauliString(n, x, z)
 
 
 def test_parse_rejects_bad_input():

@@ -3,6 +3,8 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noisim.channels import PauliChannel
 from noisim.choi import theorem1_check
@@ -76,6 +78,48 @@ def test_write_json_is_stable(tmp_path):
     path = tmp_path / "a.json"
     write_json({"b": 1.5, "a": [1, 2]}, path)
     assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
+
+
+# keys with quotes, backslashes, control and non-ASCII characters, beside arbitrary text
+json_keys = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "😀", ""])
+json_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2e-308, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**100)])
+    | json_floats | json_keys
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    # a dict of floats only, the emitter's one-join case
+    | st.dictionaries(json_keys, json_floats, min_size=1, max_size=6),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_json_matches_json_dumps(tmp_path, value):
+    path = tmp_path / "v.json"
+    write_json(value, path)
+    assert path.read_bytes() == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_write_json_refuses_what_json_would_convert_or_reject(tmp_path, monkeypatch):
+    path = tmp_path / "v.json"
+    for bad in ({1: 0.5}, {"a": {None: 1}}, {"a": [1, {1.5: "x", "b": 2}]}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            write_json(bad, path)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json({"a": {1, 2}}, path)
+    assert not path.exists()
+    # neither json.dumps nor json's pure-Python indenting encoder runs
+    monkeypatch.setattr(json, "dumps", None)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", None)
+    write_json({"b": [1.5, None], "a": {"x": 0.25}}, path)
+    assert json.loads(path.read_text()) == {"a": {"x": 0.25}, "b": [1.5, None]}
 
 
 def test_write_csv_format(tmp_path):
