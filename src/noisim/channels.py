@@ -1,4 +1,20 @@
-"""Density matrices and Pauli channels."""
+"""Density matrices and Pauli channels.
+
+A Pauli channel E(rho) = sum_P w_P P rho P is diagonal in the Pauli basis.
+Writing P = X**x Z**z on index bits and k = i ^ j,
+
+    E(rho)[i, i ^ k] = sum_x A[x, k] rho[i ^ x, i ^ x ^ k],
+    A[x, k] = sum_z w(x, z) (-1)**(z . k),
+
+an XOR convolution over i for each k. A Walsh-Hadamard transform over i
+diagonalizes it, and the multipliers are the Pauli eigenvalues
+
+    lam[s, k] = sum_P w_P (-1)**(x_P . s + z_P . k),
+
+the 2-D transform of the d x d weight table (Flammia and Wallman,
+arXiv:1907.12976). So a channel applies through two transforms of a
+d x d array, whatever its number of terms.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliString, monomial, parse
+from .pauli import MATRIX_QUBIT_CAP, PauliString, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -148,14 +164,73 @@ def apply_pauli_channel(channel: PauliChannel, rho: DensityMatrix) -> DensityMat
         raise ValueError(
             f"state dim {rho.dim} incompatible with {channel.n_qubits} qubits"
         )
-    return DensityMatrix(_apply_channel_raw(channel, rho.matrix))
+    table = _eigenvalues(channel.n_qubits, channel.terms)
+    return DensityMatrix(_apply_eigenvalues(table, rho.matrix))
 
 
-def _apply_channel_raw(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
-    """sum_i w_i P_i rho P_i on a bare matrix, hermitized; no validation."""
-    out = np.zeros_like(rho)
-    for w, s in channel.terms:
-        # (P rho P)[i, j] = phases[i] rho[cols[i], cols[j]] conj(phases[j]), O(d**2)
-        cols, phases = monomial(s)
-        out += w * (rho[np.ix_(cols, cols)] * np.outer(phases, phases.conj()))
-    return (out + out.conj().T) / 2
+def _sylvester(n: int) -> np.ndarray:
+    # the 2**n x 2**n Hadamard matrix, entries (-1)**(popcount(i & j))
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
+    return h
+
+
+def _wht(a: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform along axis 0 of a contiguous real
+    2-D array, in place.
+
+    The 2**n-point transform is H_hi x H_lo, so two batched products with
+    Hadamard matrices of about 2**(n/2) rows replace one d x d product.
+    """
+    d, m = a.shape
+    n = d.bit_length() - 1
+    hi, lo = _sylvester(n // 2), _sylvester(n - n // 2)
+    half = hi @ a.reshape(len(hi), -1)
+    np.matmul(lo, half.reshape(len(hi), len(lo), m), out=a.reshape(len(hi), len(lo), m))
+
+
+def _eigenvalues(n_qubits: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
+    """lam[s, k] = sum_P w_P (-1)**(x_P . s + z_P . k) over (weight, string) pairs.
+
+    lam[s, k] is the eigenvalue of the string with z bits s and x bits k,
+    both in index order (qubit 1 the most significant bit, as in `monomial`).
+    """
+    d = 1 << n_qubits
+    table = np.zeros((d, d))
+    for w, s in terms:
+        x = int(format(s.x_mask, f"0{n_qubits}b")[::-1], 2)
+        z = int(format(s.z_mask, f"0{n_qubits}b")[::-1], 2)
+        table[z, x] += w
+    # lam = H W H with W[x, z]: transform the transposed table, transpose, transform
+    _wht(table)
+    table = np.ascontiguousarray(table.T)
+    _wht(table)
+    return table
+
+
+def _xor_gather(m: np.ndarray) -> np.ndarray:
+    """out[i, k] = m[i, i ^ k]; the map is its own inverse.
+
+    Rows and columns split into their high and low index bits, so the index
+    arrays broadcast from about 2 * d entries, not a d x d table.
+    """
+    d = m.shape[0]
+    n = d.bit_length() - 1
+    hi, lo = np.arange(1 << (n // 2)), np.arange(1 << (n - n // 2))
+    a, b = hi[:, None, None, None], lo[:, None, None]
+    blocks = m.reshape(len(hi), len(lo), len(hi), len(lo))
+    return blocks[a, b, a ^ hi[:, None], b ^ lo].reshape(d, d)
+
+
+def _apply_eigenvalues(table: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The channel with eigenvalue table `table` on a complex matrix, hermitized."""
+    g = _xor_gather(rho)  # g[i, k] = rho[i, i ^ k]
+    _wht(g.view(float))
+    g *= table
+    _wht(g.view(float))
+    g = _xor_gather(g)
+    g += g.conj().T
+    # the inverse transform's 1/d, a power of two, folds exactly into the 1/2
+    g *= 0.5 / len(g)
+    return g

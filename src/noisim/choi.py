@@ -35,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _apply_channel_raw
+from .channels import (
+    EIGENVALUE_FLOOR,
+    DensityMatrix,
+    PauliChannel,
+    _apply_eigenvalues,
+    _eigenvalues,
+)
 from .pauli import monomial
 
 __all__ = [
@@ -173,12 +179,12 @@ def theorem1_check(
     d = da
     _check_choi_size(channel_a.n_qubits)
 
-    delta_out = (
-        _apply_channel_raw(channel_a, rho.matrix) - _apply_channel_raw(channel_b, rho.matrix)
-    )
     weights_b = {s: w for w, s in channel_b.terms}
     delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}
     delta_w.update((s, -w) for s, w in weights_b.items())
+    # E_a - E_b is the Pauli map with weights Dw, applied once
+    delta_table = _eigenvalues(channel_a.n_qubits, ((dw, s) for s, dw in delta_w.items()))
+    delta_out = _apply_eigenvalues(delta_table, rho.matrix)
     # column P of B is Dw_P vec(P rho) / sqrt(d), vec stacking rows
     columns = np.empty((d * d, len(delta_w)), dtype=complex)
     for k, (s, dw) in enumerate(delta_w.items()):

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, PauliChannel, _apply_channel_raw
+from .channels import DensityMatrix, PauliChannel, _apply_eigenvalues, _eigenvalues
 from .encoder import EncodingResult, effective_channel, encode
 from .pauli import MATRIX_QUBIT_CAP, identity
 
@@ -142,7 +142,9 @@ def evolve_occupations(
     """Site occupations over time, shape (n_steps + 1, n_sites).
 
     Row 0 is the initial state; each later row follows one application of
-    all unitaries (in the given order) and one channel round.
+    all unitaries (in the given order) and one channel round. The factors
+    are multiplied into one step unitary once per call, and the channel's
+    eigenvalue table is built once per call.
     """
     if isinstance(initial, str):
         initial = DensityMatrix.from_basis_label(initial)
@@ -154,15 +156,19 @@ def evolve_occupations(
             raise ValueError(f"unitary shape {u.shape} != state dim {initial.dim}")
     if channel is not None and channel.n_qubits != n_sites:
         raise ValueError(f"channel acts on {channel.n_qubits} qubits, state on {n_sites}")
-    rho = np.array(initial.matrix)
+    # the first factor acts first, so it is the rightmost in the product
+    step = reduce(np.matmul, unitaries[::-1]) if unitaries else np.eye(initial.dim)
+    table = None if channel is None else _eigenvalues(channel.n_qubits, channel.terms)
+    rho = initial.matrix
+    del initial  # a state built here is freed once rho moves on
     out = np.empty((n_steps + 1, n_sites))
     out[0] = site_occupations(rho, n_sites)
-    for step in range(1, n_steps + 1):
-        for u in unitaries:
-            rho = u @ rho @ u.conj().T
-        if channel is not None:
-            rho = _apply_channel_raw(channel, rho)
-        out[step] = site_occupations(rho, n_sites)
+    for row in range(1, n_steps + 1):
+        # U rho U^dag as (U (U rho)^dag)^dag, so no conjugate of U is kept
+        rho = (step @ (step @ rho).conj().T).conj().T
+        if table is not None:
+            rho = _apply_eigenvalues(table, rho)
+        out[row] = site_occupations(rho, n_sites)
     return out
 
 

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisim.channels import DensityMatrix, PauliChannel, apply_pauli_channel
+from noisim.channels import DensityMatrix, PauliChannel, _eigenvalues, apply_pauli_channel
 from noisim.pauli import MATRIX_QUBIT_CAP, parse
 
-from helpers import all_texts, apply_channel_dense, random_channel_terms, random_density
+from helpers import (
+    all_texts,
+    apply_channel_dense,
+    dense_string,
+    random_channel_terms,
+    random_density,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -60,6 +66,39 @@ def test_apply_matches_dense_oracle(seed, n):
     out = apply_pauli_channel(PauliChannel(terms), DensityMatrix(rho))
     expected = apply_channel_dense(terms, rho)
     assert np.abs(out.matrix - expected).max() < 1e-12
+
+
+def _full_support_terms(rng, n):
+    """A weight on every one of the 4**n strings."""
+    weights = rng.random(4**n) + 1e-3
+    return list(zip((weights / weights.sum()).tolist(), all_texts(n)))
+
+
+@given(seeds, st.integers(min_value=1, max_value=6), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_eigenvalue_apply_matches_dense_oracle_up_to_six_qubits(seed, n, full, pure):
+    rng = np.random.default_rng(seed)
+    terms = _full_support_terms(rng, n) if full else random_channel_terms(rng, n, max_terms=12)
+    rho = random_density(rng, 2**n, pure=pure)
+    out = apply_pauli_channel(PauliChannel(terms), DensityMatrix(rho))
+    assert np.abs(out.matrix - apply_channel_dense(terms, rho)).max() < 1e-12
+
+
+@given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_eigenvalue_table_is_the_pauli_spectrum(seed, n, full):
+    rng = np.random.default_rng(seed)
+    terms = _full_support_terms(rng, n) if full else random_channel_terms(rng, n, max_terms=8)
+    channel = PauliChannel(terms)
+    table = _eigenvalues(n, channel.terms)
+    assert table.shape == (2**n, 2**n)
+    for text in all_texts(n):
+        # row: the string's z bits, column: its x bits, qubit 1 the most significant
+        z = int("".join("1" if c in "ZY" else "0" for c in text), 2)
+        x = int("".join("1" if c in "XY" else "0" for c in text), 2)
+        q = dense_string(text)
+        expected = np.trace(q @ apply_channel_dense(terms, q)).real / 2**n
+        assert abs(table[z, x] - expected) < 1e-12
 
 
 @given(seeds)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_string
-from noisim.channels import PauliChannel
+from helpers import apply_channel_dense, dense_string, random_channel_terms, random_density
+from noisim.channels import DensityMatrix, PauliChannel
 from noisim.dynamics import (
     BenchmarkConfig,
     chain_hamiltonian,
@@ -137,6 +137,47 @@ def test_exact_exponential_is_small_system_reference():
                 trotter_step_unitaries(2, bad, 0.5, 0.05, method=method)
             with pytest.raises(ValueError, match="coupling"):
                 trotter_step_unitaries(2, 1.0, bad, 0.05, method=method)
+
+
+def _sequential_occupations(rho, factors, terms, n, n_steps):
+    """Each factor conjugated in turn, then the dense channel, each step."""
+    number = [(np.eye(2**n) - dense_string("I" * q + "Z" + "I" * (n - q - 1))) / 2
+              for q in range(n)]
+    rows = []
+    for step in range(n_steps + 1):
+        if step:
+            for u in factors:
+                rho = u @ rho @ u.conj().T
+            if terms is not None:
+                rho = apply_channel_dense(terms, rho)
+        rows.append([np.trace(m @ rho).real for m in number])
+    return np.array(rows)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["trotter", "exact_exponential", "none"]),
+    st.booleans(),
+    st.floats(min_value=1e-3, max_value=1.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_evolution_matches_sequential_dense_oracle(seed, n, factors, with_channel, dt):
+    rng = np.random.default_rng(seed)
+    if factors == "exact_exponential" and n > 2:
+        factors = "trotter"
+    omega0, g = rng.uniform(-2, 2, size=2)
+    unitaries = () if factors == "none" else trotter_step_unitaries(
+        n, omega0, g, dt, method=factors
+    )
+    terms = random_channel_terms(rng, n, max_terms=10) if with_channel else None
+    channel = PauliChannel(terms) if with_channel else None
+    rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
+    n_steps = int(rng.integers(0, 5))
+    occ = evolve_occupations(DensityMatrix(rho), unitaries, channel, n_steps)
+    expected = _sequential_occupations(rho, unitaries, terms, n, n_steps)
+    assert occ.shape == (n_steps + 1, n)
+    assert np.abs(occ - expected).max() < 1e-12
 
 
 def test_evolution_validation():
