@@ -177,12 +177,15 @@ def _sylvester(n: int) -> np.ndarray:
 
 
 def _wht(a: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform along axis 0 of a contiguous real
-    2-D array, in place.
+    """Unnormalized Walsh-Hadamard transform along axis 0 of a C-contiguous
+    real 2-D array, in place.
 
     The 2**n-point transform is H_hi x H_lo, so two batched products with
     Hadamard matrices of about 2**(n/2) rows replace one d x d product.
     """
+    # a reshape of any other layout is a copy, and the result would be lost
+    if not a.flags.c_contiguous:
+        raise ValueError("_wht needs a C-contiguous array")
     d, m = a.shape
     n = d.bit_length() - 1
     hi, lo = _sylvester(n // 2), _sylvester(n - n // 2)
@@ -220,7 +223,8 @@ def _xor_gather(m: np.ndarray) -> np.ndarray:
     hi, lo = np.arange(1 << (n // 2)), np.arange(1 << (n - n // 2))
     a, b = hi[:, None, None, None], lo[:, None, None]
     blocks = m.reshape(len(hi), len(lo), len(hi), len(lo))
-    return blocks[a, b, a ^ hi[:, None], b ^ lo].reshape(d, d)
+    # numpy leaves the layout of an advanced-indexing result open
+    return np.ascontiguousarray(blocks[a, b, a ^ hi[:, None], b ^ lo].reshape(d, d))
 
 
 def _apply_eigenvalues(table: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -44,14 +44,13 @@ __all__ = [
 ]
 
 
-def atomic_write_text(text: str, path: str | os.PathLike, *, end: str = "") -> None:
-    """Write `text` then `end` to a temp file beside `path`, then move it there."""
+def atomic_write_text(text: str, path: str | os.PathLike) -> None:
+    """Write `text` to a temp file beside `path`, then move it there."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            fh.write(end)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -120,8 +119,7 @@ def _json_text(value: Any, indent: str) -> str:
 
 
 def write_json(data: Any, path: str | os.PathLike) -> None:
-    # the newline is a second write, not a copy of the whole document
-    atomic_write_text(_json_text(data, ""), path, end="\n")
+    atomic_write_text(_json_text(data, "") + "\n", path)
 
 
 def _reject_constant(name: str) -> Any:

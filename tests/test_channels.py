@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisim.channels import DensityMatrix, PauliChannel, _eigenvalues, apply_pauli_channel
+from noisim.channels import DensityMatrix, PauliChannel, _eigenvalues, _wht, apply_pauli_channel
 from noisim.pauli import MATRIX_QUBIT_CAP, parse
 
 from helpers import (
@@ -82,6 +82,14 @@ def test_eigenvalue_apply_matches_dense_oracle_up_to_six_qubits(seed, n, full, p
     rho = random_density(rng, 2**n, pure=pure)
     out = apply_pauli_channel(PauliChannel(terms), DensityMatrix(rho))
     assert np.abs(out.matrix - apply_channel_dense(terms, rho)).max() < 1e-12
+
+
+def test_wht_refuses_an_array_it_cannot_transform_in_place():
+    a = np.arange(16.0).reshape(4, 4)
+    with pytest.raises(ValueError):
+        _wht(a.T)
+    _wht(a)
+    assert a[:, 0].tolist() == [24.0, -8.0, -16.0, 0.0]
 
 
 @given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
