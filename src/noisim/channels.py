@@ -46,7 +46,9 @@ class DensityMatrix:
 
     Construction checks hermiticity (entrywise, 1e-10), unit trace (1e-10)
     and spectrum above -1e-9; each check also fails on NaN. The dense
-    constructors refuse more than MATRIX_QUBIT_CAP qubits before allocating.
+    constructors refuse more than MATRIX_QUBIT_CAP qubits before allocating;
+    from_basis_label builds its projector without the checks, since that
+    is a state by construction.
     """
 
     __slots__ = ("matrix",)
@@ -88,9 +90,14 @@ class DensityMatrix:
                 f"refusing a dense {len(label)}-qubit state (cap {MATRIX_QUBIT_CAP})"
             )
         dim = 2 ** len(label)
-        vec = np.zeros(dim, dtype=complex)
-        vec[int(label, 2)] = 1.0
-        return cls(np.outer(vec, vec.conj()))
+        arr = np.zeros((dim, dim), dtype=complex)
+        k = int(label, 2)
+        arr[k, k] = 1.0
+        arr.setflags(write=False)
+        # |b><b| is a state by construction: spectrum {0, 1}, no eigvalsh needed
+        rho = cls.__new__(cls)
+        rho.matrix = arr
+        return rho
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":

@@ -140,6 +140,15 @@ def test_density_matrix_validation():
 def test_from_basis_label():
     rho = DensityMatrix.from_basis_label("10")
     assert rho.matrix[2, 2] == 1.0
+    # built without the constructor's checks, it equals the validated projector
+    for label in ("0", "1", "011", "1010"):
+        v = np.zeros(2 ** len(label))
+        v[int(label, 2)] = 1.0
+        expected = DensityMatrix(np.outer(v, v))
+        rho = DensityMatrix.from_basis_label(label)
+        assert np.array_equal(rho.matrix, expected.matrix)
+        assert rho.matrix.dtype == expected.matrix.dtype
+        assert not rho.matrix.flags.writeable
     with pytest.raises(ValueError):
         DensityMatrix.from_basis_label("12")
     with pytest.raises(ValueError, match="refusing"):

@@ -286,6 +286,18 @@ def test_sample_threads_write_identical_files(files, tmp_path):
     assert one.read_bytes() == eight.read_bytes()
 
 
+def test_sample_negative_seed_exits_one(tmp_path, capsys):
+    eff = _write(tmp_path, "ch.json", BENCH_TARGET)
+    out = tmp_path / "s.csv"
+    code = main([
+        "sample", "--channel", eff, "--seed", "-1", "--trials", "3",
+        "--steps", "5", "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert "seed >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -1,13 +1,19 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import all_texts
 from noisim import sampling
 from noisim.channels import PauliChannel
 from noisim.sampling import run_trials, sample_indices
 
 CHANNEL = PauliChannel([(0.5, "II"), (0.3, "XZ"), (0.2, "IY")])
+# 5-qubit strings in text order, so term k of a channel built from them has weight k
+TEXTS = all_texts(5)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -30,13 +36,94 @@ def _oracle_counts(seed, n_trials, steps):
 
 
 def test_thread_count_does_not_change_counts(monkeypatch):
-    # a trial longer than one chunk, split over blocks of unequal size
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    steps = sampling._CHUNK + 3
-    expected = _oracle_counts(3, 7, steps)
-    for threads in (1, 2, 3, 8):
-        report = run_trials(CHANNEL, seed=3, n_trials=7, steps_per_trial=steps, threads=threads)
-        assert report.counts == expected
+    chunk = sampling._CHUNK
+    for n_trials, steps in (
+        # a trial longer than one chunk, split over blocks of unequal size
+        (7, chunk + 3),
+        # every trial ends one draw short of a full buffer, so later ones straddle a flush
+        (3, chunk - 1),
+        # full buffers end mid-trial (65536 = 65 * 1000 + 536), and a partial one is left
+        (70, 1000),
+        # a flush falls exactly on a trial boundary (2 * 32768 = 65536)
+        (5, chunk // 2),
+        # the last flush holds a single draw
+        (1, chunk + 1),
+    ):
+        expected = _oracle_counts(3, n_trials, steps)
+        for threads in (1, 2, 3, 8):
+            report = run_trials(
+                CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=steps, threads=threads
+            )
+            assert report.counts == expected, (n_trials, steps, threads)
+
+
+def _check_classifier(weights, extra_draws=()):
+    """The guide-table classifier equals searchsorted on every edge draw."""
+    channel = PauliChannel(zip(weights, TEXTS))
+    cum = np.cumsum([w for w, _ in channel.terms])
+    cum[-1] = 1.0
+    m = sampling._GUIDE_SIZE
+    edges = np.concatenate([cum, np.arange(m) / m])
+    draws = np.concatenate([
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+        extra_draws,
+    ])
+    draws = draws[(draws >= 0.0) & (draws < 1.0)]
+    classify = sampling._Classifier(channel)
+    assert np.array_equal(classify.cum, cum)
+    assert np.array_equal(classify(draws), np.searchsorted(cum, draws, side="right"))
+    return classify
+
+
+def test_classifier_corner_cases():
+    # one term: every draw is term 0, with no boundary to step over
+    assert _check_classifier([1.0]).steps == 0
+    # a tiny weight vanishes in the sum, so two cumulative weights are equal
+    vanished = _check_classifier([0.5, 1e-17, 0.25, 1e-300, 0.25])
+    assert vanished.cum[0] == vanished.cum[1]
+    # the weights sum to 1 + 1e-13, so cum[-2] lies above the forced cum[-1] = 1.0
+    over = _check_classifier([0.5, 0.5 + 1e-13, 1e-20])
+    assert over.cum[-2] > over.cum[-1] == 1.0
+    _check_classifier([0.5, 0.5 - 1e-13, 1e-20])
+    # the only boundary lies in the last bucket, below the forced 1.0
+    assert _check_classifier([1 - 1e-13, 1e-13]).steps == 1
+    # boundaries exactly on bucket edges
+    _check_classifier([0.25, 0.25, 0.125, 0.375])
+    # a few boundaries in one bucket take a step each
+    few = _check_classifier([0.5, *[1e-9] * 5, 0.5 - 5e-9])
+    assert few.guide is not None and few.steps == 5
+    # 600 boundaries in one bucket fall back to searchsorted
+    many = _check_classifier([0.5, *[1e-9] * 600, 0.5 - 6e-7])
+    assert many.guide is None
+
+
+@st.composite
+def weight_lists(draw):
+    weight = st.one_of(
+        st.floats(1e-3, 1.0), st.sampled_from([1e-9, 1e-13, 1e-17, 1e-300])
+    )
+    raw = draw(st.lists(weight, min_size=1, max_size=60))
+    # a cluster of tiny weights, from a few boundaries per bucket to the fallback
+    cluster = draw(st.integers(0, 40))
+    at = draw(st.integers(0, len(raw)))
+    raw[at:at] = [1e-9] * cluster
+    total = math.fsum(raw)
+    weights = [w / total for w in raw]
+    # the weights may sum to 1 +- 1e-13, within the channel's 1e-12
+    shift = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    k = max(range(len(weights)), key=weights.__getitem__)
+    weights[k] += shift
+    return weights
+
+
+@given(weight_lists(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+@settings(max_examples=150, deadline=None)
+def test_classifier_matches_searchsorted(weights, draws):
+    _check_classifier(weights, np.array(draws, dtype=float))
 
 
 def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
@@ -102,3 +189,5 @@ def test_argument_validation():
         run_trials(CHANNEL, seed=0, n_trials=0, steps_per_trial=5)
     with pytest.raises(ValueError):
         run_trials(CHANNEL, seed=0, n_trials=5, steps_per_trial=5, threads=0)
+    with pytest.raises(ValueError, match="seed >= 0, got -1"):
+        run_trials(CHANNEL, seed=-1, n_trials=5, steps_per_trial=5)
