@@ -2,22 +2,32 @@
 
 Output files are written to a temporary sibling and moved into place with
 os.replace, so readers never observe partial files and reruns are
-byte-for-byte stable: JSON is written by one emitter whose output equals
-json.dumps(indent=2, sort_keys=True), CSV uses LF line endings,
+byte-for-byte stable; a failed write leaves the target as it was and an
+OSError names the target, not the temp file. CSV uses LF line endings,
 alphabetical headers and repr() for floats.
+
+JSON is written by one emitter whose output equals
+json.dumps(indent=2, sort_keys=True). It streams into the temp file: a
+container of scalars is one join and one write, and a container of
+containers writes its items as it goes, so the document is never held as
+one string. Float and quoted-key texts are memoized per document, since an
+encoding's snapshots repeat the same ledger strings and mostly the same
+values step after step. Zeros are not memoized: 0.0 == -0.0 as dict keys,
+but their texts differ.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager, suppress
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
 from .channels import PauliChannel
 from .choi import CertificateReport
@@ -44,20 +54,34 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A text file that replaces `path` when the block exits cleanly.
+
+    The text goes to a temp file beside `path`; if the block raises, the
+    temp file is removed and `path` is left as it was. An OSError that names
+    a file names `path`, not the random temp name.
+    """
+    target = Path(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise
+
+
 def atomic_write_text(text: str, path: str | os.PathLike) -> None:
     """Write `text` to a temp file beside `path`, then move it there."""
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _float_text(value: float) -> str:
@@ -71,14 +95,31 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_text(value: Any, indent: str) -> str:
-    """`value` as json.dumps(indent=2, sort_keys=True) writes it at this depth.
+class _FloatTexts(dict):
+    """Float texts of one document, keyed by value.
 
-    json.dumps with an indent runs json's pure-Python encoder; here C string
-    quoting and float repr do the work, and a map of floats is one join.
-    Raises TypeError on a non-str key or a value that is not a str, int,
-    float, bool, None, list, tuple or dict.
+    Zeros are not kept: 0.0 == -0.0, but their texts differ.
     """
+
+    def __missing__(self, value: float) -> str:
+        text = _float_text(value)
+        if value:
+            self[value] = text
+        return text
+
+
+class _KeyTexts(dict):
+    """Quoted `"key": ` texts of one document."""
+
+    def __missing__(self, key: Any) -> str:
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        text = self[key] = encode_basestring_ascii(key) + ": "
+        return text
+
+
+def _scalar_text(value: Any, floats: _FloatTexts) -> str | None:
+    """The JSON text of a scalar or an empty container; None for any other container."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -90,36 +131,68 @@ def _json_text(value: Any, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_text(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
+        return floats[value]
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = sep.join([_json_text(v, inner) for v in value])
-        return "[\n" + inner + items + "\n" + indent + "]"
+        return None if value else "[]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        try:
-            keys = sorted(value)
-            quoted = [encode_basestring_ascii(k) + ": " for k in keys]
-        except TypeError:
-            bad = next(k for k in value if not isinstance(k, str))
-            raise TypeError(f"JSON object keys must be str, not {type(bad).__name__}") from None
-        values = [value[k] for k in keys]
-        # a sum of floats is finite only if every term is
-        if set(map(type, values)) == {float} and math.isfinite(sum(values)):
-            texts = map(float.__repr__, values)
-        else:
-            texts = [_json_text(v, inner) for v in values]
-        items = sep.join(map(str.__add__, quoted, texts))
-        return "{\n" + inner + items + "\n" + indent + "}"
+        return None if value else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _emit_json(
+    value: Any, indent: str, write: Callable[[str], Any], floats: _FloatTexts, keys: _KeyTexts
+) -> None:
+    """Write `value` as json.dumps(indent=2, sort_keys=True) writes it at this depth.
+
+    A container of scalars is one join and one write; a container that holds
+    containers writes its items as it goes, so no text larger than one such
+    container is ever built. Raises TypeError on a non-str key or a value
+    that is not a str, int, float, bool, None, list, tuple or dict.
+    """
+    text = _scalar_text(value, floats)
+    if text is not None:
+        write(text)
+        return
+    if isinstance(value, dict):
+        try:
+            names = sorted(value)
+        except TypeError:  # unorderable keys, so at least one is not a str
+            names = [k for k in value if not isinstance(k, str)]
+        heads = list(map(keys.__getitem__, names))  # refuses a non-str key
+        values = list(map(value.__getitem__, names))
+        opening, closing = "{\n", "}"
+    else:
+        heads = None
+        values = value
+        opening, closing = "[\n", "]"
+    kinds = set(map(type, values))
+    if kinds == {float}:  # ledger snapshots
+        texts = list(map(floats.__getitem__, values))
+    elif kinds == {str}:  # cluster members
+        texts = list(map(encode_basestring_ascii, values))
+    else:
+        texts = [_scalar_text(v, floats) for v in values]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if None not in texts:
+        items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
+        write(opening + inner + items + "\n" + indent + closing)
+        return
+    lead = opening + inner
+    for head, text, item in zip(heads or repeat(""), texts, values):
+        if text is None:
+            write(lead + head)
+            _emit_json(item, inner, write, floats, keys)
+        else:
+            write(lead + head + text)
+        lead = sep
+    write("\n" + indent + closing)
+
+
 def write_json(data: Any, path: str | os.PathLike) -> None:
-    atomic_write_text(_json_text(data, "") + "\n", path)
+    with _atomic_open(path) as fh:
+        _emit_json(data, "", fh.write, _FloatTexts(), _KeyTexts())
+        fh.write("\n")
 
 
 def _reject_constant(name: str) -> Any:
@@ -162,12 +235,11 @@ def write_csv(rows: Sequence[Mapping[str, Any]], path: str | os.PathLike) -> Non
     for row in rows:
         if sorted(row.keys()) != headers:
             raise ValueError("rows disagree on CSV headers")
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=headers, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _cell(v) for k, v in row.items()})
-    atomic_write_text(buf.getvalue(), path)
+    with _atomic_open(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _cell(v) for k, v in row.items()})
 
 
 def channel_to_dict(channel: PauliChannel) -> dict:

@@ -313,6 +313,17 @@ def test_missing_file_exits_one(files, capsys):
     assert "nonexistent" in capsys.readouterr().err
 
 
+def test_unwritable_output_names_the_requested_path(files, capsys):
+    out = files["dir"] / "missing" / "x.json"
+    code = main([
+        "encode", "--target", files["target"], "--noise", files["noise"], "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+
+
 def test_malformed_channel_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     for text in (

@@ -89,12 +89,16 @@ json_scalars = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**100)])
     | json_floats | json_keys
 )
+# keys and values shared across the maps of one document, so both memos hit
+memo_keys = st.sampled_from(["a", "b", "é", "XZ"])
+memo_floats = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, 0.1 + 0.2, math.nan, math.inf])
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(json_keys, inner, max_size=4)
     # a dict of floats only, the emitter's one-join case
-    | st.dictionaries(json_keys, json_floats, min_size=1, max_size=6),
+    | st.dictionaries(json_keys, json_floats, min_size=1, max_size=6)
+    | st.lists(st.dictionaries(memo_keys, memo_floats, min_size=1), min_size=2, max_size=5),
     max_leaves=20,
 )
 
@@ -105,6 +109,47 @@ def test_write_json_matches_json_dumps(tmp_path, value):
     path = tmp_path / "v.json"
     write_json(value, path)
     assert path.read_bytes() == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [{"a": 0.0}, {"a": -0.0}],
+        [{"a": -0.0}, {"a": 0.0}],
+        {"m": {"a": -0.0, "b": 0.0}},
+        [{"x": 0.1, "y": 2.5}, {"x": 0.1}, {"z": {"x": 0.1}}],
+        [{"a": 1.5}, {"a": 1.5, "b": math.nan}, {"a": math.inf, "b": -math.inf}],
+        {"steps": [{"k": 1.5}, {"k": 1.5}], "k": [1.5, 0.0, -0.0, 1.5]},
+    ],
+)
+def test_memoized_texts_match_json_dumps(tmp_path, value):
+    path = tmp_path / "v.json"
+    write_json(value, path)
+    assert path.read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_write_keeps_the_target_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"kept": [1.5, -0.0]}, path)
+    before = path.read_bytes()
+    # enough finished maps ahead of the bad item that the stream has reached the temp file
+    done = [{"a": 0.25, "b": float(i)} for i in range(2000)]
+    for tail, message in (({1: 0.5}, "keys must be str"), ({"a": {1, 2}}, "not JSON serializable")):
+        with pytest.raises(TypeError, match=message):
+            write_json({"steps": done + [tail]}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_failed_write_names_the_requested_path(tmp_path):
+    # the temp file cannot be made; the temp file cannot replace a directory
+    (tmp_path / "sub").mkdir()
+    for path in (tmp_path / "missing" / "x.json", tmp_path / "sub"):
+        with pytest.raises(OSError) as err:
+            write_json({"a": 1}, path)
+        assert err.value.filename == str(path)
+        assert ".tmp" not in str(err.value)
+    assert os.listdir(tmp_path) == ["sub"]
 
 
 def test_write_json_refuses_what_json_would_convert_or_reject(tmp_path, monkeypatch):
