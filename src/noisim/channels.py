@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliString, parse
+from .pauli import MATRIX_QUBIT_CAP, PauliString, _check_dense_size, _index_bits, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -46,9 +46,9 @@ class DensityMatrix:
 
     Construction checks hermiticity (entrywise, 1e-10), unit trace (1e-10)
     and spectrum above -1e-9; each check also fails on NaN. The dense
-    constructors refuse more than MATRIX_QUBIT_CAP qubits before allocating;
-    from_basis_label builds its projector without the checks, since that
-    is a state by construction.
+    constructors refuse more than MATRIX_QUBIT_CAP qubits before allocating.
+    States by construction skip the checks: the projector of from_basis_label,
+    the I/d of maximally_mixed and the output of apply_pauli_channel.
     """
 
     __slots__ = ("matrix",)
@@ -85,27 +85,27 @@ class DensityMatrix:
         """Computational basis state |label><label|, site 1 leftmost."""
         if not label or set(label) - {"0", "1"}:
             raise ValueError(f"basis label must be a bitstring, got {label!r}")
-        if len(label) > MATRIX_QUBIT_CAP:
-            raise ValueError(
-                f"refusing a dense {len(label)}-qubit state (cap {MATRIX_QUBIT_CAP})"
-            )
+        _check_dense_size(len(label), "state", MATRIX_QUBIT_CAP)
         dim = 2 ** len(label)
         arr = np.zeros((dim, dim), dtype=complex)
         k = int(label, 2)
         arr[k, k] = 1.0
-        arr.setflags(write=False)
-        # |b><b| is a state by construction: spectrum {0, 1}, no eigvalsh needed
-        rho = cls.__new__(cls)
-        rho.matrix = arr
-        return rho
+        return cls._known(arr)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        if dim > 1 << MATRIX_QUBIT_CAP:
-            raise ValueError(
-                f"refusing a dense state of dimension {dim} (cap 2**{MATRIX_QUBIT_CAP})"
-            )
-        return cls(np.eye(dim, dtype=complex) / dim)
+        if dim < 1:
+            raise ValueError(f"need dimension at least 1, got {dim}")
+        _check_dense_size((dim - 1).bit_length(), "state", MATRIX_QUBIT_CAP)  # qubits dim needs
+        return cls._known(np.eye(dim, dtype=complex) / dim)
+
+    @classmethod
+    def _known(cls, arr: np.ndarray) -> "DensityMatrix":
+        """Wrap a complex square array that is a state by construction, unchecked."""
+        arr.setflags(write=False)
+        rho = cls.__new__(cls)
+        rho.matrix = arr
+        return rho
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -172,7 +172,7 @@ def apply_pauli_channel(channel: PauliChannel, rho: DensityMatrix) -> DensityMat
             f"state dim {rho.dim} incompatible with {channel.n_qubits} qubits"
         )
     table = _eigenvalues(channel.n_qubits, channel.terms)
-    return DensityMatrix(_apply_eigenvalues(table, rho.matrix))
+    return DensityMatrix._known(_apply_eigenvalues(table, rho.matrix))
 
 
 def _sylvester(n: int) -> np.ndarray:
@@ -204,14 +204,12 @@ def _eigenvalues(n_qubits: int, terms: Iterable[tuple[float, PauliString]]) -> n
     """lam[s, k] = sum_P w_P (-1)**(x_P . s + z_P . k) over (weight, string) pairs.
 
     lam[s, k] is the eigenvalue of the string with z bits s and x bits k,
-    both in index order (qubit 1 the most significant bit, as in `monomial`).
+    both in index order (`pauli._index_bits`: qubit 1 the most significant bit).
     """
     d = 1 << n_qubits
     table = np.zeros((d, d))
     for w, s in terms:
-        x = int(format(s.x_mask, f"0{n_qubits}b")[::-1], 2)
-        z = int(format(s.z_mask, f"0{n_qubits}b")[::-1], 2)
-        table[z, x] += w
+        table[_index_bits(s.z_mask, n_qubits), _index_bits(s.x_mask, n_qubits)] += w
     # lam = H W H with W[x, z]: transform the transposed table, transpose, transform
     _wht(table)
     table = np.ascontiguousarray(table.T)

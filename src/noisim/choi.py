@@ -42,7 +42,7 @@ from .channels import (
     _apply_eigenvalues,
     _eigenvalues,
 )
-from .pauli import monomial
+from .pauli import _check_dense_size, monomial
 
 __all__ = [
     "CHOI_QUBIT_CAP",
@@ -64,16 +64,9 @@ _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
 
-def _check_choi_size(n_qubits: int) -> None:
-    if n_qubits > CHOI_QUBIT_CAP:
-        raise ValueError(
-            f"refusing {n_qubits}-qubit Choi matrices (cap {CHOI_QUBIT_CAP})"
-        )
-
-
 def choi_state(channel: PauliChannel) -> np.ndarray:
     """Unit-trace Choi state of the channel, system factor first."""
-    _check_choi_size(channel.n_qubits)
+    _check_dense_size(channel.n_qubits, "Choi matrix", CHOI_QUBIT_CAP)
     dim = 2**channel.n_qubits
     rows = np.arange(dim)
     amplitude = 1 / math.sqrt(dim)  # of each |ii> in |Omega>
@@ -93,8 +86,8 @@ def apply_from_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d = math.isqrt(d2)
     if d * d != d2:
         raise ValueError(f"Choi dimension {d2} is not a perfect square")
-    weighted = np.kron(np.eye(d), np.asarray(rho, dtype=complex).T) @ choi
-    return d * np.einsum("iaja->ij", weighted.reshape(d, d, d, d))
+    # J indexed (system i, ancilla c; system j, ancilla a), contracted with rho[c, a]
+    return d * np.einsum("icja,ca->ij", choi.reshape(d, d, d, d), rho)
 
 
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
@@ -177,7 +170,7 @@ def theorem1_check(
     if da != db or da != rho.dim:
         raise ValueError(f"dimension mismatch: channels {da}/{db}, state {rho.dim}")
     d = da
-    _check_choi_size(channel_a.n_qubits)
+    _check_dense_size(channel_a.n_qubits, "Choi matrix", CHOI_QUBIT_CAP)
 
     weights_b = {s: w for w, s in channel_b.terms}
     delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}

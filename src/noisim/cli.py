@@ -55,6 +55,20 @@ def _parse_p(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid Schatten order {text!r}")
 
 
+# every BenchmarkConfig setting but the channels: its type, for its flag and
+# its --config key, and the other options of its flag
+_BENCH_SETTINGS: dict[str, tuple[type, dict[str, Any]]] = {
+    "n_sites": (int, {}), "omega0": (float, {}), "coupling": (float, {}), "dt": (float, {}),
+    "n_steps": (int, {}), "initial": (str, {}),
+    "encoder": (str, {"choices": ["fixed", "adaptive"]}),
+    "node": (str, {}), "tol": (float, {}), "max_iters": (int, {}),
+    "step_method": (str, {
+        "choices": ["auto", "trotter", "exact_exponential"],
+        "help": "auto (the default): exact_exponential up to two sites, else trotter",
+    }),
+}
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="noisim",
@@ -97,18 +111,8 @@ def build_parser() -> _ArgumentParser:
     ben.add_argument("--config", help="benchmark config JSON file")
     ben.add_argument("--target", help="target channel JSON file (overrides config)")
     ben.add_argument("--noise", help="noise channel JSON file (overrides config)")
-    ben.add_argument("--n-sites", type=int)
-    ben.add_argument("--omega0", type=float)
-    ben.add_argument("--coupling", type=float)
-    ben.add_argument("--dt", type=float)
-    ben.add_argument("--n-steps", type=int)
-    ben.add_argument("--initial")
-    ben.add_argument("--encoder", choices=["fixed", "adaptive"])
-    ben.add_argument("--node")
-    ben.add_argument("--tol", type=float)
-    ben.add_argument("--max-iters", type=int)
-    ben.add_argument("--step-method", choices=["auto", "trotter", "exact_exponential"],
-                     help="auto (the default): exact_exponential up to two sites, else trotter")
+    for key, (kind, options) in _BENCH_SETTINGS.items():
+        ben.add_argument("--" + key.replace("_", "-"), type=kind, **options)
     ben.add_argument("--out", required=True, help="occupations CSV path")
     ben.add_argument("--encoding-out", help="also write the encoding result JSON")
     ben.set_defaults(func=_cmd_benchmark)
@@ -185,13 +189,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BENCH_TYPES = {
-    "n_sites": int, "omega0": float, "coupling": float, "dt": float,
-    "n_steps": int, "initial": str, "encoder": str, "node": str,
-    "tol": float, "max_iters": int, "step_method": str,
-}
-
-
 def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
     settings: dict[str, Any] = {}
     target = noise = None
@@ -199,7 +196,7 @@ def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
         data = load_json(args.config)
         if not isinstance(data, Mapping):
             raise ValueError(f"{args.config}: expected a config object")
-        unknown = set(data) - set(_BENCH_TYPES) - {"target", "noise"}
+        unknown = set(data) - set(_BENCH_SETTINGS) - {"target", "noise"}
         if unknown:
             raise ValueError(f"{args.config}: unknown keys {sorted(unknown)}")
         if "target" in data:
@@ -208,9 +205,9 @@ def _benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
             noise = channel_from_dict(data["noise"])
         settings.update(
             {k: json_value(data[k], kind, f"{args.config}: {k}")
-             for k, kind in _BENCH_TYPES.items() if k in data}
+             for k, (kind, _) in _BENCH_SETTINGS.items() if k in data}
         )
-    for key in _BENCH_TYPES:
+    for key in _BENCH_SETTINGS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
@@ -275,7 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverEncodedError as exc:
         print(f"noisim {args.command}: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"noisim: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import DensityMatrix, PauliChannel, _apply_eigenvalues, _eigenvalues
 from .encoder import EncodingResult, effective_channel, encode
-from .pauli import MATRIX_QUBIT_CAP, identity
+from .pauli import MATRIX_QUBIT_CAP, _check_dense_size, identity
 
 __all__ = [
     "BenchmarkConfig",
@@ -95,10 +95,7 @@ def trotter_step_unitaries(
         raise ValueError(f"need finite dt > 0, got {dt}")
     if not (math.isfinite(omega0) and math.isfinite(g)):
         raise ValueError(f"need finite omega0 and coupling g, got {omega0} and {g}")
-    if n_sites > MATRIX_QUBIT_CAP:
-        raise ValueError(
-            f"refusing dense {n_sites}-site step unitaries (cap {MATRIX_QUBIT_CAP})"
-        )
+    _check_dense_size(n_sites, "step unitary", MATRIX_QUBIT_CAP)
     if method == "exact_exponential":
         if n_sites > EXACT_SITE_CAP:
             raise ValueError(

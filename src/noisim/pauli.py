@@ -44,6 +44,17 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 MATRIX_QUBIT_CAP = 10
 
 
+def _check_dense_size(n_qubits: int, what: str, cap: int) -> None:
+    """Refuse a dense n-qubit `what` above `cap` qubits, before anything is allocated."""
+    if n_qubits > cap:
+        raise ValueError(f"refusing a dense {n_qubits}-qubit {what} (cap {cap})")
+
+
+def _index_bits(mask: int, n_qubits: int) -> int:
+    """A mask in dense index order: qubit 1, bit 0 of the mask, becomes the top bit."""
+    return int(format(mask, f"0{n_qubits}b")[::-1], 2)
+
+
 class PauliParseError(ValueError):
     """Raised when a Pauli text form cannot be parsed."""
 
@@ -157,7 +168,7 @@ def monomial(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     phases = i**|x & z| * (-1)**|cols & z|. O(2**n) time and memory.
     """
     n = p.n_qubits
-    x = int(format(p.x_mask, f"0{n}b")[::-1], 2)
+    x = _index_bits(p.x_mask, n)
     signs = np.ones(1)
     for q in range(n):
         signs = np.kron(signs, (1.0, -1.0) if p.z_mask >> q & 1 else (1.0, 1.0))

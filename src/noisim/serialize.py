@@ -37,7 +37,6 @@ from .encoder import EncodingResult
 from .sampling import SampleReport
 
 __all__ = [
-    "atomic_write_text",
     "benchmark_rows",
     "certificate_to_dict",
     "channel_from_dict",
@@ -76,12 +75,6 @@ def _atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
         if isinstance(exc, OSError) and exc.filename is not None:
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
-
-
-def atomic_write_text(text: str, path: str | os.PathLike) -> None:
-    """Write `text` to a temp file beside `path`, then move it there."""
-    with _atomic_open(path) as fh:
-        fh.write(text)
 
 
 def _float_text(value: float) -> str:
@@ -202,7 +195,10 @@ def _reject_constant(name: str) -> Any:
 def load_json(path: str | os.PathLike) -> Any:
     """Parse a JSON file, refusing the NaN and Infinity literals."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # the JSON values each field type accepts; true/false are never numbers here

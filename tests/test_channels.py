@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisim.channels import DensityMatrix, PauliChannel, _eigenvalues, _wht, apply_pauli_channel
+from noisim.channels import (
+    EIGENVALUE_FLOOR,
+    DensityMatrix,
+    PauliChannel,
+    _eigenvalues,
+    _wht,
+    apply_pauli_channel,
+)
 from noisim.pauli import MATRIX_QUBIT_CAP, parse
 
 from helpers import (
@@ -117,8 +124,11 @@ def test_apply_preserves_state_properties(seed):
     ch = PauliChannel(random_channel_terms(rng, n))
     rho = DensityMatrix(random_density(rng, 2**n))
     out = apply_pauli_channel(ch, rho)
-    # DensityMatrix construction re-validates trace, hermiticity, spectrum
+    # the output skips DensityMatrix's checks, so check what they would
     assert abs(np.trace(out.matrix) - 1.0) < 1e-12
+    assert np.array_equal(out.matrix, out.matrix.conj().T)
+    assert np.linalg.eigvalsh(out.matrix).min() >= EIGENVALUE_FLOOR
+    assert not out.matrix.flags.writeable
 
 
 def test_density_matrix_validation():
@@ -130,11 +140,16 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.full((2, 2), math.nan))  # every comparison with NaN is False
-    with pytest.raises(ValueError, match="refusing"):
-        DensityMatrix.maximally_mixed(2 ** (MATRIX_QUBIT_CAP + 1))
+    with pytest.raises(ValueError, match="refusing a dense 11-qubit state"):
+        DensityMatrix.maximally_mixed(2 ** MATRIX_QUBIT_CAP + 1)
+    assert DensityMatrix.maximally_mixed(2**MATRIX_QUBIT_CAP).n_qubits == MATRIX_QUBIT_CAP
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            DensityMatrix.maximally_mixed(dim)
     mm = DensityMatrix.maximally_mixed(4)
     assert np.array_equal(mm.matrix, np.eye(4) / 4)
     assert mm.n_qubits == 2
+    assert not mm.matrix.flags.writeable
 
 
 def test_from_basis_label():
@@ -151,5 +166,6 @@ def test_from_basis_label():
         assert not rho.matrix.flags.writeable
     with pytest.raises(ValueError):
         DensityMatrix.from_basis_label("12")
-    with pytest.raises(ValueError, match="refusing"):
+    with pytest.raises(ValueError, match="refusing a dense 11-qubit state"):
         DensityMatrix.from_basis_label("0" * (MATRIX_QUBIT_CAP + 1))
+    assert DensityMatrix.from_basis_label("1" * MATRIX_QUBIT_CAP).matrix[-1, -1] == 1.0

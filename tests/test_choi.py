@@ -116,7 +116,15 @@ def test_certificate_at_p_infinity_reports_single_bound():
     assert report.satisfied
 
 
-def test_certificate_validation():
+class _Stop(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Stop
+
+
+def test_certificate_validation(monkeypatch):
     rho = DensityMatrix.maximally_mixed(2)
     for p in (0.5, math.nan):
         with pytest.raises(ValueError):
@@ -127,10 +135,19 @@ def test_certificate_validation():
     # refused before the 4**n x 4**n matrix is allocated
     n = CHOI_QUBIT_CAP + 1
     wide = PauliChannel([(1.0, "I" * n)])
-    with pytest.raises(ValueError, match="refusing"):
+    with pytest.raises(ValueError, match="refusing a dense 7-qubit Choi matrix"):
         choi_state(wide)
-    with pytest.raises(ValueError, match="refusing"):
+    with pytest.raises(ValueError, match="refusing a dense 7-qubit Choi matrix"):
         theorem1_check(wide, wide, DensityMatrix.maximally_mixed(2**n), 2)
+    # accepted at the cap: certify runs, and choi_state gets as far as its first term
+    # (the 256 MiB state is only reserved, never filled)
+    at_cap = PauliChannel([(1.0, "I" * CHOI_QUBIT_CAP)])
+    mixed = DensityMatrix.maximally_mixed(2**CHOI_QUBIT_CAP)
+    assert theorem1_check(at_cap, at_cap, mixed, 2).satisfied
+    with monkeypatch.context() as m:
+        m.setattr("noisim.choi.monomial", _stop)
+        with pytest.raises(_Stop):
+            choi_state(at_cap)
     # any finite p is accepted: no quantity overflows or underflows at large p
     noisy = PauliChannel([(0.9, "II"), (0.06, "XZ"), (0.04, "YI")])
     for p in (600, 1e308):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,8 +8,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from noisim.choi import CHOI_QUBIT_CAP, CertificateCheck, CertificateReport
-from noisim.cli import EXIT_INVARIANT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from noisim.cli import (
+    _BENCH_SETTINGS,
+    EXIT_INVARIANT,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from noisim.clusters import ORBIT_RANK_CAP
+from noisim.dynamics import BenchmarkConfig
 from noisim.encoder import encode_adaptive
 from noisim.pauli import MATRIX_QUBIT_CAP
 from noisim.serialize import channel_from_dict
@@ -268,6 +278,36 @@ def test_benchmark_rejects_mistyped_config_values(tmp_path, capsys, text):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_benchmark_rejects_deeply_nested_config(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text('{"n_steps": ' + "[" * 100_000)
+    code = main(["benchmark", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert "bench.json: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_every_benchmark_setting_has_one_flag_and_one_config_type():
+    # a new BenchmarkConfig field must be added to the table, or it has neither
+    fields = [f.name for f in dataclasses.fields(BenchmarkConfig)]
+    assert fields[:2] == ["target", "noise"]
+    assert list(_BENCH_SETTINGS) == fields[2:]
+    ben = build_parser()._subparsers._group_actions[0].choices["benchmark"]
+    for key, (kind, _) in _BENCH_SETTINGS.items():
+        flags = [a for a in ben._actions if a.dest == key]
+        assert [a.option_strings for a in flags] == [["--" + key.replace("_", "-")]], key
+        assert flags[0].type is kind and kind in (int, float, str), key
+
+
+def test_refused_allocation_exits_one(tmp_path, capsys):
+    # numpy refuses a 14 PiB occupation table before allocating any of it
+    out = tmp_path / "o.csv"
+    code = main(["benchmark", "--n-steps", "1000000000000000", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("noisim: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_benchmark_needs_channels_beyond_two_sites(tmp_path):
     code = main(["benchmark", "--n-sites", "4", "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_USAGE
@@ -331,6 +371,8 @@ def test_malformed_channel_exits_one(tmp_path):
         # json.load accepts these literals; the loader must not
         '{"terms": [{"string": "I", "weight": NaN}, {"string": "X", "weight": 1.0}]}',
         '{"terms": [{"string": "I", "weight": Infinity}]}',
+        # json.load raises RecursionError here
+        "[" * 100_000,
     ):
         bad.write_text(text)
         code = main([

@@ -126,8 +126,9 @@ def test_exact_exponential_is_small_system_reference():
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dt"):
             trotter_step_unitaries(2, 1.0, 0.5, dt)
-    with pytest.raises(ValueError, match="refusing"):
+    with pytest.raises(ValueError, match="refusing a dense 11-qubit step unitary"):
         trotter_step_unitaries(MATRIX_QUBIT_CAP + 1, 1.0, 0.5, 0.05)
+    assert trotter_step_unitaries(MATRIX_QUBIT_CAP, 1.0, 0.5, 0.05)[1].shape == (1024, 1024)
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least one site"):
             trotter_step_unitaries(n, 1.0, 0.5, 0.05)

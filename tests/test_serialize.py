@@ -19,7 +19,6 @@ from noisim.dynamics import (
 from noisim.encoder import encode_adaptive
 from noisim.sampling import run_trials
 from noisim.serialize import (
-    atomic_write_text,
     benchmark_rows,
     certificate_to_dict,
     channel_from_dict,
@@ -67,11 +66,11 @@ def test_channel_from_dict_validation():
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
-    path = tmp_path / "out.txt"
+    path = tmp_path / "out.json"
     path.write_text("old")
-    atomic_write_text("new", path)
-    assert path.read_text() == "new"
-    assert os.listdir(tmp_path) == ["out.txt"]
+    write_json([1], path)
+    assert path.read_text() == "[\n  1\n]\n"
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def test_write_json_is_stable(tmp_path):
