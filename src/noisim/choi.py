@@ -121,10 +121,8 @@ def renyi_entropy(rho: np.ndarray | DensityMatrix, p: float) -> float:
     if p == 1:
         pos = eig[eig > 0]
         return float(-np.sum(pos * np.log(pos)))
-    # Tr rho**p = top**p * scaled; scaled >= 1 cannot underflow at large p
-    top = float(eig.max())
-    scaled = float(np.sum((eig / top) ** p))
-    return p / (1.0 - p) * math.log(top) + math.log(scaled) / (1.0 - p)
+    # ln Tr rho**p = p * ln ||eig||_p, whose power sum _p_norm scales by its largest term
+    return p / (1.0 - p) * math.log(_p_norm(eig, p))
 
 
 @dataclass(frozen=True, slots=True)

@@ -89,22 +89,30 @@ def trotter_step_unitaries(
     the 4x4 hopping gate; the bond terms of a layer commute, so each factor is
     exact. "exact_exponential" returns the single full-step unitary and is a
     small-system reference only, refused above EXACT_SITE_CAP sites. Chains
-    above MATRIX_QUBIT_CAP sites are refused before any matrix is built.
+    above MATRIX_QUBIT_CAP sites, and phases omega0 * dt or g * dt that
+    overflow a float at this chain size, are refused before any matrix is
+    built.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"need finite dt > 0, got {dt}")
     if not (math.isfinite(omega0) and math.isfinite(g)):
         raise ValueError(f"need finite omega0 and coupling g, got {omega0} and {g}")
     _check_dense_size(n_sites, "step unitary", MATRIX_QUBIT_CAP)
-    if method == "exact_exponential":
-        if n_sites > EXACT_SITE_CAP:
-            raise ValueError(
-                f"exact_exponential is a reference for up to {EXACT_SITE_CAP} "
-                f"sites, got {n_sites}; use method='trotter'"
-            )
-        return (_expm_herm(chain_hamiltonian(n_sites, omega0, g), dt),)
-    if method != "trotter":
+    if method == "exact_exponential" and n_sites > EXACT_SITE_CAP:
+        raise ValueError(
+            f"exact_exponential is a reference for up to {EXACT_SITE_CAP} "
+            f"sites, got {n_sites}; use method='trotter'"
+        )
+    if method not in ("trotter", "exact_exponential"):
         raise ValueError(f"unknown step method {method!r}")
+    # the phases over dt of the largest onsite energy, n_sites * omega0 / 2, and of a hop
+    if not (math.isfinite(0.5 * abs(omega0) * n_sites * dt) and math.isfinite(g * dt)):
+        raise ValueError(
+            f"omega0 * dt or coupling * dt overflows at {n_sites} sites: "
+            f"omega0={omega0!r}, coupling={g!r}, dt={dt!r}"
+        )
+    if method == "exact_exponential":
+        return (_expm_herm(chain_hamiltonian(n_sites, omega0, g), dt),)
     c, s = math.cos(g * dt), math.sin(g * dt)
     # exp(-i g dt (sp sm + sm sp)) on |00>, |01>, |10>, |11> rotates the |01>, |10> block
     gate = np.eye(4, dtype=complex)

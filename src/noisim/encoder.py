@@ -1,25 +1,28 @@
 """Iterative encoding of a target Pauli channel onto intrinsic noise.
 
 One loop, two node rules. The loop keeps a residue ledger: the mass of
-each target string still unaccounted for. Each iteration asks the rule
-for a node string and a mass m, schedules the node (conjugation with
-probability m), and lets the hardware noise dress it, which moves mass
-m * w(Q) onto (Q * node) for every noise term Q. So
+each target string still unaccounted for. Each iteration scans the ledger
+once for the worst (largest) non-identity residue and stops when it is at
+most tol. Otherwise it picks a node string and a mass m, schedules the
+node (conjugation with probability m), and lets the hardware noise dress
+it, which moves mass m * w(Q) onto (Q * node) for every noise term Q. So
 
     fsum(residues) + encoded_mass == 1
 
-holds throughout (weights of both channels sum to one).
+holds throughout (weights of both channels sum to one). A node's image
+table, the pairs (w(Q), Q * node), is built once per node: once per run
+for the fixed rule, once per distinct node for the realized channel.
 
 The identity string is exempt from targeting and from the convergence
-check: identity mass is realized for free by doing nothing, so its ledger
+test: identity mass is realized for free by doing nothing, so its ledger
 entry only participates in conservation and in the adaptive mass budget.
 
-The fixed rule reuses a single node and takes the largest positive
-non-identity residue among the node's one-step images as the scheduled
-mass. When the noise weights do not match the target ratios this
-deliberately overshoots and residues go negative; the adaptive rule
-avoids that by re-deriving the node each iteration from the worst residue
-and clamping the mass to the remaining budget.
+The fixed rule reuses a single node and takes the largest non-identity
+residue among the node's images as the scheduled mass. When the noise
+weights do not match the target ratios this deliberately overshoots and
+residues go negative; the adaptive rule avoids that by re-deriving the
+node each iteration from the worst residue and clamping the mass to the
+remaining budget.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .channels import WEIGHT_SUM_ATOL, PauliChannel
 from .pauli import PauliString, identity, multiply, parse
@@ -102,7 +105,7 @@ class EncodingResult:
 
     @property
     def max_residue(self) -> float:
-        return max((r for s, r in self.residues.items() if not s.is_identity()), default=0.0)
+        return _worst(self.residues)
 
     @property
     def min_residue(self) -> float:
@@ -126,51 +129,20 @@ def _check_inputs(target: PauliChannel, noise: PauliChannel, tol: float, max_ite
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
 
 
-def _within_tol(ledger: Mapping[PauliString, float], tol: float) -> bool:
-    # identity exempt; negative residues are settled, not pending
-    return all(r <= tol for s, r in ledger.items() if not s.is_identity())
+def _worst(ledger: Mapping[PauliString, float]) -> float:
+    # identity exempt; an empty ledger has nothing pending
+    return max((r for s, r in ledger.items() if not s.is_identity()), default=0.0)
 
 
-def _apply_schedule(
-    ledger: dict[PauliString, float],
-    noise: PauliChannel,
-    node: PauliString,
-    mass: float,
-) -> None:
-    for w, q in noise.terms:
-        image = multiply(q, node).string
-        ledger[image] = ledger.get(image, 0.0) - mass * w
+def _tie_break(ledger: Mapping[PauliString, float], worst: float) -> PauliString:
+    # the non-identity string whose residue is `worst`, ties to the smallest text
+    return min((s for s, r in ledger.items() if r == worst and not s.is_identity()),
+               key=lambda s: s.text)
 
 
-# (ledger, masses so far) -> (node, mass), or None when nothing is pending
-_NodeRule = Callable[[Mapping[PauliString, float], list[float]], tuple[PauliString, float] | None]
-
-
-def _fixed_rule(noise: PauliChannel, node: PauliString) -> _NodeRule:
-    # a set is enough: the rule only takes the maximum over the images
-    images = {multiply(q, node).string for _, q in noise.terms} - {identity(node.n_qubits)}
-
-    def pick(ledger: Mapping[PauliString, float], masses: list[float]):
-        return node, max((ledger.get(s, 0.0) for s in images), default=0.0)
-
-    return pick
-
-
-def _adaptive_rule(noise: PauliChannel, id_string: PauliString) -> _NodeRule:
-    # Q* is fixed by the noise channel; compute once
-    w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
-
-    def pick(ledger: Mapping[PauliString, float], masses: list[float]):
-        pending = [(r, s) for s, r in ledger.items() if r > 0.0 and not s.is_identity()]
-        if not pending:
-            return None
-        # the largest residue, ties to the smallest text; texts only for the ties
-        r_star = max(r for r, _ in pending)
-        s_star = min((s for r, s in pending if r == r_star), key=lambda s: s.text)
-        budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
-        return multiply(q_star, s_star).string, min(r_star / w_star, budget)
-
-    return pick
+def _images(noise: PauliChannel, node: PauliString) -> list[tuple[float, PauliString]]:
+    """(w(Q), Q * node) for every noise term Q, in the noise's term order."""
+    return [(w, multiply(q, node).string) for w, q in noise.terms]
 
 
 def encode(
@@ -198,9 +170,12 @@ def encode(
             raise ValueError(f"node acts on {node.n_qubits} qubits, target on {target.n_qubits}")
         if node.is_identity():
             raise ValueError("node must not be the identity string")
-        pick = _fixed_rule(noise, node)
+        table = _images(noise, node)
+        images = [s for _, s in table if not s.is_identity()]
     elif mode == "adaptive":
-        pick = _adaptive_rule(noise, identity(target.n_qubits))
+        # Q* is fixed by the noise channel; compute once
+        w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
+        id_string = identity(target.n_qubits)
     else:
         raise ValueError(f"unknown encoder mode {mode!r}")
 
@@ -208,20 +183,28 @@ def encode(
     masses: list[float] = []
     steps: list[EncodingStep] = []
     while True:
-        if _within_tol(ledger, tol):
+        worst = _worst(ledger)
+        if worst <= tol:
             reason = STOP_ALL_WITHIN_TOL
             break
         if len(steps) >= max_iters:
             reason = STOP_MAX_ITERS
             break
-        picked = pick(ledger, masses)
-        if picked is None or picked[1] <= 0.0:
+        if mode == "fixed":
+            mass = max((ledger.get(s, 0.0) for s in images), default=0.0)
+        else:
+            # worst > tol >= 0, so some residue is pending and Q* maps the node onto it
+            node = multiply(q_star, _tie_break(ledger, worst)).string
+            table = _images(noise, node)
+            budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
+            mass = min(worst / w_star, budget)
+        if mass <= 0.0:
             reason = STOP_STALLED
             break
-        chosen, mass = picked
         masses.append(mass)
-        _apply_schedule(ledger, noise, chosen, mass)
-        steps.append(EncodingStep(len(steps), chosen, mass, tuple(ledger.items())))
+        for w, image in table:
+            ledger[image] = ledger.get(image, 0.0) - mass * w
+        steps.append(EncodingStep(len(steps), node, mass, tuple(ledger.items())))
 
     return EncodingResult(
         mode=mode,
@@ -279,10 +262,12 @@ def effective_channel(result: EncodingResult) -> PauliChannel:
     contributions are fsum-ed in schedule order, so equal schedules give
     bitwise-equal channels.
     """
+    tables: dict[PauliString, list[tuple[float, PauliString]]] = {}
     contribs: dict[PauliString, list[float]] = {}
     for step in result.steps:
-        for w, q in result.noise.terms:
-            image = multiply(q, step.node).string
+        if step.node not in tables:
+            tables[step.node] = _images(result.noise, step.node)
+        for w, image in tables[step.node]:
             contribs.setdefault(image, []).append(step.mass * w)
     terms = [(math.fsum(parts), s) for s, parts in contribs.items()]
     total = math.fsum(w for w, _ in terms)

@@ -5,14 +5,22 @@ Kronecker products) so the tests cross-check the package against an
 independent implementation rather than against itself. The one exception,
 `orbit_bfs`, walks products from `multiply`, which criterion 1 checks
 against dense matrices. `shift_residue` corrupts an encoding result so the
-tests can reach the invariant audits' failure paths.
+tests can reach the invariant audits' failure paths. `scanning_encode` is
+the encoder loop written plainly, the oracle for `encoder.encode`.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
-from noisim.encoder import EncodingResult
+from noisim.encoder import (
+    STOP_ALL_WITHIN_TOL,
+    STOP_MAX_ITERS,
+    STOP_STALLED,
+    EncodingResult,
+    EncodingStep,
+)
 from noisim.pauli import identity, multiply
 
 PAULIS = {
@@ -108,3 +116,42 @@ def orbit_bfs(node, generators) -> frozenset:
                     nxt.append(t)
         frontier = nxt
     return frozenset(seen)
+
+
+def scanning_encode(target, noise, mode, node, *, tol, max_iters) -> EncodingResult:
+    """The encoder loop with every step written out: a full within-tol scan of
+    the ledger, then (adaptive) the list of pending residues, their maximum and
+    the text tie-break, and the images of the node recomputed at every step."""
+    ident = identity(target.n_qubits)
+    w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
+    ledger = {s: w for w, s in target.terms}
+    masses, steps = [], []
+    while True:
+        if all(r <= tol for s, r in ledger.items() if s != ident):
+            reason = STOP_ALL_WITHIN_TOL
+            break
+        if len(steps) >= max_iters:
+            reason = STOP_MAX_ITERS
+            break
+        if mode == "fixed":
+            chosen = node
+            images = {multiply(q, node).string for _, q in noise.terms} - {ident}
+            mass = max((ledger.get(s, 0.0) for s in images), default=0.0)
+        else:
+            pending = [(r, s) for s, r in ledger.items() if r > 0.0 and s != ident]
+            if not pending:
+                reason = STOP_STALLED
+                break
+            r_star = max(r for r, _ in pending)
+            s_star = min((s for r, s in pending if r == r_star), key=lambda s: s.text)
+            budget = 1.0 - math.fsum(masses) - max(ledger.get(ident, 0.0), 0.0)
+            chosen, mass = multiply(q_star, s_star).string, min(r_star / w_star, budget)
+        if mass <= 0.0:
+            reason = STOP_STALLED
+            break
+        masses.append(mass)
+        for w, q in noise.terms:
+            image = multiply(q, chosen).string
+            ledger[image] = ledger.get(image, 0.0) - mass * w
+        steps.append(EncodingStep(len(steps), chosen, mass, tuple(ledger.items())))
+    return EncodingResult(mode, target, noise, tuple(steps), ledger, math.fsum(masses), reason)

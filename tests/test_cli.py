@@ -410,6 +410,20 @@ def test_nan_order_and_step_exit_one(files, capsys):
         assert not (files["dir"] / "x.out").exists(), argv
 
 
+def test_benchmark_phase_overflow_exits_one(files, capsys):
+    # finite flags whose product overflows: no NaN table, one line naming the inputs
+    out = files["dir"] / "o.csv"
+    for flags, inputs in ((["--omega0", "1e308", "--dt", "1e300"], "omega0=1e+308"),
+                          (["--coupling", "1e308", "--dt", "1e300"], "coupling=1e+308")):
+        code = main(["benchmark", "--target", files["bench_target"],
+                     "--noise", files["bench_noise"], *flags, "--out", str(out)])
+        assert code == EXIT_USAGE, flags
+        err = capsys.readouterr().err
+        assert err.startswith("noisim: ") and err.count("\n") == 1, err
+        assert "overflows at 2 sites" in err and inputs in err and "dt=1e+300" in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("p", ["600", "1e308"])
 def test_certify_at_any_finite_p(files, p):
     out = files["dir"] / "cert.json"

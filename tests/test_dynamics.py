@@ -140,6 +140,20 @@ def test_exact_exponential_is_small_system_reference():
                 trotter_step_unitaries(2, 1.0, bad, 0.05, method=method)
 
 
+def test_phases_that_overflow_are_refused():
+    # finite inputs whose product with dt, at this chain size, is not finite
+    for method, n in (("trotter", 3), ("exact_exponential", 2)):
+        for omega0, g, dt in ((1e308, 0.5, 1e300), (1.0, 1e308, 1e300), (-1e308, 0.5, 1e300)):
+            with pytest.raises(ValueError, match=f"overflows at {n} sites: omega0="):
+                trotter_step_unitaries(n, omega0, g, dt, method=method)
+        # finite phases are built, and every factor is finite
+        for u in trotter_step_unitaries(n, 1e308 / n, 1e308, 1.0, method=method):
+            assert np.isfinite(u).all()
+    # n * omega0 / 2 overflows at 3 sites even though omega0 * dt does not
+    with pytest.raises(ValueError, match="overflows at 3 sites"):
+        trotter_step_unitaries(3, 1.2e308, 0.5, 1.0)
+
+
 def _sequential_occupations(rho, factors, terms, n, n_steps):
     """Each factor conjugated in turn, then the dense channel, each step."""
     number = [(np.eye(2**n) - dense_string("I" * q + "Z" + "I" * (n - q - 1))) / 2

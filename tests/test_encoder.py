@@ -20,10 +20,11 @@ from noisim.encoder import (
     encode_adaptive,
     encode_fixed,
 )
-from noisim.encoder import _adaptive_rule
-from noisim.pauli import identity, multiply, parse
+from noisim import encoder
+from noisim.encoder import _tie_break
+from noisim.pauli import multiply, parse
 
-from helpers import random_channel_terms
+from helpers import all_texts, random_channel_terms, scanning_encode
 
 # four-way symmetric target over the XZ noise orbit, with identity-heavy noise
 FOUR_WAY = [(0.25, "YI"), (0.25, "ZX"), (0.25, "XZ"), (0.25, "IY")]
@@ -81,14 +82,15 @@ def test_adaptive_breaks_exact_ties_by_text():
     q_star_iy = multiply(parse("XX"), parse("IY")).string
     result = encode_adaptive(target, noise, tol=1e-6)
     assert result.steps[0].node == q_star_iy
+    assert result.steps[0].mass == 0.2 / 0.7
     # encode's ledger starts from the text-sorted target terms, and strings it
     # adds later only go down, so its pending ties are always in text order;
-    # the rule must give the same node for a ledger in another order
-    ledger = {parse(t): r for t, r in (("ZX", 0.2), ("II", 0.4), ("XZ", 0.2),
+    # the tie-break must give the same string for a ledger in another order,
+    # and never the identity, even when its residue ties and sorts first
+    ledger = {parse(t): r for t, r in (("ZX", 0.2), ("II", 0.2), ("XZ", 0.2),
                                         ("YY", -0.1), ("IY", 0.2), ("XI", 0.1))}
-    node, mass = _adaptive_rule(noise, identity(2))(ledger, [])
-    assert node == q_star_iy
-    assert mass == 0.2 / 0.7
+    assert _tie_break(ledger, 0.2) == parse("IY")
+    assert multiply(parse("XX"), _tie_break(ledger, 0.2)).string == q_star_iy
 
 
 def test_adaptive_beats_fixed_on_worst_residue():
@@ -253,3 +255,48 @@ def test_random_runs_conserve_mass_and_decompose(seed, mode):
                 continue
             gap = target.weight(s) - result.residues.get(s, 0.0) - eff.weight(s)
             assert abs(gap) < 1e-10
+
+
+def test_fixed_run_builds_its_image_table_once(monkeypatch):
+    calls = []
+
+    def counting_multiply(a, b):
+        calls.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(encoder, "multiply", counting_multiply)
+    noise = PauliChannel(SYM_NOISE)
+    result = encode_fixed(PauliChannel(FOUR_WAY), noise, parse("XZ"), tol=0.1)
+    assert result.iterations == 5
+    # one product per noise term for the whole run, not one per term and step
+    assert len(calls) == len(noise.terms)
+    assert {b for _, b in calls} == {parse("XZ")}
+
+
+@st.composite
+def tie_heavy_channels(draw, n):
+    """Channels whose weights are small integers over their sum, so residues tie exactly."""
+    texts = draw(st.lists(st.sampled_from(all_texts(n)), min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(texts), max_size=len(texts)))
+    return PauliChannel([(k / sum(counts), t) for k, t in zip(counts, texts)])
+
+
+def _bits(result):
+    """Every float of a run as its exact hex text, so -0.0 and 0.0 differ."""
+    return (
+        result.stop_reason,
+        result.encoded_mass.hex(),
+        [(s.node, s.mass.hex(), [(t, r.hex()) for t, r in s.residues]) for s in result.steps],
+        [(t, r.hex()) for t, r in result.residues.items()],
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    tie_heavy_channels(n), tie_heavy_channels(n), st.sampled_from(all_texts(n)[1:]))),
+    st.sampled_from(["fixed", "adaptive"]))
+@settings(max_examples=150, deadline=None)
+def test_encode_matches_scanning_oracle_bit_for_bit(channels, mode):
+    target, noise, node = channels
+    got = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
+    want = scanning_encode(target, noise, mode, parse(node), tol=0.0, max_iters=40)
+    assert _bits(got) == _bits(want)
