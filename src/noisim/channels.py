@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliString, _check_dense_size, _index_bits, parse
+from .pauli import MATRIX_QUBIT_CAP, PauliString, _check_dense_size, _index_bits, _parity_signs, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -175,14 +175,6 @@ def apply_pauli_channel(channel: PauliChannel, rho: DensityMatrix) -> DensityMat
     return DensityMatrix._known(_apply_eigenvalues(table, rho.matrix))
 
 
-def _sylvester(n: int) -> np.ndarray:
-    # the 2**n x 2**n Hadamard matrix, entries (-1)**(popcount(i & j))
-    h = np.ones((1, 1))
-    for _ in range(n):
-        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
-    return h
-
-
 def _wht(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform along axis 0 of a C-contiguous
     real 2-D array, in place.
@@ -195,7 +187,9 @@ def _wht(a: np.ndarray) -> None:
         raise ValueError("_wht needs a C-contiguous array")
     d, m = a.shape
     n = d.bit_length() - 1
-    hi, lo = _sylvester(n // 2), _sylvester(n - n // 2)
+    # Hadamard matrices of 2**(n // 2) and 2**(n - n // 2) points: (-1)**popcount(i & j)
+    hi, lo = (np.arange(1 << k) for k in (n // 2, n - n // 2))
+    hi, lo = _parity_signs(hi[:, None] & hi), _parity_signs(lo[:, None] & lo)
     half = hi @ a.reshape(len(hi), -1)
     np.matmul(lo, half.reshape(len(hi), len(lo), m), out=a.reshape(len(hi), len(lo), m))
 

@@ -14,7 +14,7 @@ from .channels import DensityMatrix
 from .choi import theorem1_check
 from .clusters import analyze_cluster
 from .dynamics import BenchmarkConfig, default_noise_channel, default_target_channel, run_benchmark
-from .encoder import OverEncodedError, effective_channel, encode
+from .encoder import EncodingResult, OverEncodedError, effective_channel, encode
 from .pauli import parse
 from .sampling import run_trials
 from .serialize import (
@@ -31,7 +31,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .validation import InvariantViolation, audit_encoding
+from .validation import InvariantViolation, audit_encoding, check_conservation, check_decomposition
 
 __all__ = ["EXIT_INVARIANT", "EXIT_NO_CONVERGENCE", "EXIT_OK", "EXIT_USAGE", "entry", "main"]
 
@@ -129,6 +129,13 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+def _convergence_exit(result: EncodingResult, message: str) -> int:
+    if result.converged:
+        return EXIT_OK
+    print(f"{message} ({result.stop_reason})", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
+
+
 def _cmd_encode(args: argparse.Namespace) -> int:
     target = load_channel(args.target)
     noise = load_channel(args.noise)
@@ -136,20 +143,16 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         target, noise, mode=args.mode, node=args.node, tol=args.tol, max_iters=args.max_iters
     )
     write_json(encoding_to_dict(result), args.out)
-    audit_encoding(result)
+    check_conservation(result)  # exit 3 here outranks the over-encoding exit 2 below
+    effective = effective_channel(result)
+    check_decomposition(result, effective)
     if args.effective_out:
-        save_channel(effective_channel(result), args.effective_out)
+        save_channel(effective, args.effective_out)
     print(
         f"{result.mode} encoding: {result.iterations} iterations, "
         f"encoded mass {result.encoded_mass:.6g}, stop reason {result.stop_reason}"
     )
-    if not result.converged:
-        print(
-            f"noisim encode: stopped without convergence ({result.stop_reason})",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _convergence_exit(result, "noisim encode: stopped without convergence")
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -229,19 +232,14 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     write_csv(benchmark_rows(result), args.out)
     if args.encoding_out:
         write_json(encoding_to_dict(result.encoding), args.encoding_out)
-    audit_encoding(result.encoding)
+    audit_encoding(result.encoding, result.effective)
     print(
         f"benchmark: {config.n_sites} sites, {config.n_steps} steps, "
         f"max occupation gap {result.max_gap:.6g}"
     )
-    if not result.encoding.converged:
-        print(
-            f"noisim benchmark: encoding stopped without convergence "
-            f"({result.encoding.stop_reason})",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _convergence_exit(
+        result.encoding, "noisim benchmark: encoding stopped without convergence"
+    )
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

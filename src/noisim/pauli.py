@@ -55,6 +55,14 @@ def _index_bits(mask: int, n_qubits: int) -> int:
     return int(format(mask, f"0{n_qubits}b")[::-1], 2)
 
 
+def _parity_signs(a: np.ndarray) -> np.ndarray:
+    """(-1)**popcount(a) per entry of an integer array; numpy 1.24 has no popcount ufunc."""
+    a = np.array(a, dtype=np.int64)  # a copy to fold; np.arange is 32-bit on Windows, numpy 1.x
+    for shift in (32, 16, 8, 4, 2, 1):  # XOR-fold every bit onto bit 0
+        a ^= a >> shift
+    return 1.0 - 2.0 * (a & 1)
+
+
 class PauliParseError(ValueError):
     """Raised when a Pauli text form cannot be parsed."""
 
@@ -168,9 +176,6 @@ def monomial(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     phases = i**|x & z| * (-1)**|cols & z|. O(2**n) time and memory.
     """
     n = p.n_qubits
-    x = _index_bits(p.x_mask, n)
-    signs = np.ones(1)
-    for q in range(n):
-        signs = np.kron(signs, (1.0, -1.0) if p.z_mask >> q & 1 else (1.0, 1.0))
-    cols = np.arange(1 << n) ^ x
-    return cols, PHASES[(p.x_mask & p.z_mask).bit_count() % 4] * signs[cols]
+    cols = np.arange(1 << n) ^ _index_bits(p.x_mask, n)
+    signs = _parity_signs(cols & _index_bits(p.z_mask, n))
+    return cols, PHASES[(p.x_mask & p.z_mask).bit_count() % 4] * signs

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .channels import PauliChannel
 from .encoder import EncodingResult, effective_channel
 
 __all__ = [
@@ -43,21 +44,21 @@ def check_conservation(result: EncodingResult) -> float:
     return defect
 
 
-def check_decomposition(result: EncodingResult) -> float:
+def check_decomposition(result: EncodingResult, effective: PauliChannel | None = None) -> float:
     """Return max_s |target(s) - residue(s) - effective(s)| over s != identity.
 
-    The identity string is excluded: it absorbs the unscheduled remainder,
-    which is deliberate, not a bookkeeping error.
+    `effective` is the realized channel, built when not given. The identity
+    string is excluded: it absorbs the unscheduled remainder, which is
+    deliberate, not a bookkeeping error.
     """
-    effective = effective_channel(result)
+    if effective is None:
+        effective = effective_channel(result)
     strings = set(result.target.support) | set(result.residues) | set(effective.support)
     defect = 0.0
     for s in strings:
         if s.is_identity():
             continue
-        gap = abs(
-            result.target.weight(s) - result.residues.get(s, 0.0) - effective.weight(s)
-        )
+        gap = abs(result.target.weight(s) - result.residues.get(s, 0.0) - effective.weight(s))
         defect = max(defect, gap)
     if defect > CONSERVATION_ATOL:
         raise InvariantViolation(
@@ -67,9 +68,9 @@ def check_decomposition(result: EncodingResult) -> float:
     return defect
 
 
-def audit_encoding(result: EncodingResult) -> dict[str, float]:
+def audit_encoding(result: EncodingResult, effective: PauliChannel | None = None) -> dict[str, float]:
     """Run every audit; raises InvariantViolation on the first failure."""
     return {
         "conservation_defect": check_conservation(result),
-        "decomposition_defect": check_decomposition(result),
+        "decomposition_defect": check_decomposition(result, effective),
     }

@@ -39,6 +39,14 @@ def dense_string(text: str) -> np.ndarray:
     return out
 
 
+def hadamard(n: int) -> np.ndarray:
+    """The 2**n-point Hadamard matrix as n Kronecker factors, entries +-1."""
+    out = np.ones((1, 1))
+    for _ in range(n):
+        out = np.kron(out, [[1.0, 1.0], [1.0, -1.0]])
+    return out
+
+
 def text_oracle(n: int, x_mask: int, z_mask: int) -> str:
     """Text of a string one qubit at a time; qubit q is bit q-1 of each mask."""
     letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}

@@ -19,6 +19,7 @@ from helpers import (
     all_texts,
     apply_channel_dense,
     dense_string,
+    hadamard,
     random_channel_terms,
     random_density,
 )
@@ -97,6 +98,16 @@ def test_wht_refuses_an_array_it_cannot_transform_in_place():
         _wht(a.T)
     _wht(a)
     assert a[:, 0].tolist() == [24.0, -8.0, -16.0, 0.0]
+
+
+def test_wht_is_the_kronecker_hadamard_product_exactly():
+    # integer entries keep every partial sum exact, so the results must be equal
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        a = rng.integers(-9, 10, size=(2**n, 3)).astype(float)
+        expected = hadamard(n) @ a
+        _wht(a)
+        assert np.array_equal(a, expected), n
 
 
 @given(seeds, st.integers(min_value=1, max_value=3), st.booleans())

@@ -19,7 +19,7 @@ from noisim.cli import (
 )
 from noisim.clusters import ORBIT_RANK_CAP
 from noisim.dynamics import BenchmarkConfig
-from noisim.encoder import encode_adaptive
+from noisim.encoder import effective_channel, encode_adaptive, encode_fixed
 from noisim.pauli import MATRIX_QUBIT_CAP
 from noisim.serialize import channel_from_dict
 
@@ -112,6 +112,43 @@ def test_encode_invariant_violation_exits_three(files, capsys, monkeypatch):
     ])
     assert code == EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_encode_reports_conservation_before_over_encoding(files, capsys, monkeypatch):
+    # a schedule past unity whose ledger also breaks conservation: exit 3, not 2
+    over = encode_fixed(channel_from_dict(FOUR_WAY), channel_from_dict(SYM_NOISE), "XZ",
+                        tol=0, max_iters=60)
+    broken = shift_residue(over, 1e-6)
+    monkeypatch.setattr("noisim.cli.encode", lambda *args, **kwargs: broken)
+    code = main([
+        "encode", "--target", files["target"], "--noise", files["noise"],
+        "--out", str(files["dir"] / "enc.json"),
+    ])
+    assert code == EXIT_INVARIANT
+    assert "residues plus encoded mass" in capsys.readouterr().err
+
+
+def test_each_command_builds_the_realized_channel_once(files, monkeypatch):
+    calls = []
+
+    def counted(result):
+        calls.append(result)
+        return effective_channel(result)
+
+    for module in ("noisim.cli", "noisim.dynamics", "noisim.validation"):
+        monkeypatch.setattr(f"{module}.effective_channel", counted)
+    code = main([
+        "encode", "--target", files["target"], "--noise", files["noise"], "--tol", "0.1",
+        "--out", str(files["dir"] / "enc.json"),
+        "--effective-out", str(files["dir"] / "eff.json"),
+    ])
+    assert (code, len(calls)) == (EXIT_OK, 1)
+    calls.clear()
+    code = main([
+        "benchmark", "--target", files["bench_target"], "--noise", files["bench_noise"],
+        "--n-steps", "5", "--out", str(files["dir"] / "occ.csv"),
+    ])
+    assert (code, len(calls)) == (EXIT_OK, 1)
 
 
 def test_certify_violation_exits_three(files, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from noisim.pauli import (
     PauliParseError,
     PauliString,
     PhasedPauli,
+    _parity_signs,
     identity,
     monomial,
     multiply,
@@ -97,12 +98,28 @@ def test_multiply_rejects_size_mismatch():
 
 
 def test_monomial_rebuilds_dense_string_exactly():
-    for n in (1, 2, 3):
-        for text in all_texts(n):
-            cols, phases = monomial(parse(text))
-            dense = np.zeros((2**n, 2**n), dtype=complex)
-            dense[np.arange(2**n), cols] = phases
-            assert np.array_equal(dense, dense_string(text)), text
+    rng = np.random.default_rng(5)
+    texts = [t for n in (1, 2, 3) for t in all_texts(n)]
+    texts += ["".join(rng.choice(list("IXYZ"), n)) for n in range(4, 9) for _ in range(6)]
+    for text in texts:
+        n = len(text)
+        cols, phases = monomial(parse(text))
+        dense = np.zeros((2**n, 2**n), dtype=complex)
+        dense[np.arange(2**n), cols] = phases
+        assert np.array_equal(dense, dense_string(text)), text
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=30))
+def test_parity_signs_match_bit_count(values):
+    values += [0, 1, 2**62, 2**63 - 1]
+    expected = [(-1) ** v.bit_count() for v in values]
+    a = np.array(values, dtype=np.int64)
+    assert _parity_signs(a).tolist() == expected
+    assert a.tolist() == values  # the input is left as it was
+    # 32-bit input, as np.arange gives on Windows under numpy 1.x
+    small = [v for v in values if v < 2**31]
+    signs = _parity_signs(np.array(small, dtype=np.int32))
+    assert signs.tolist() == [(-1) ** v.bit_count() for v in small]
 
 
 def test_phased_pauli_validates_phase():
