@@ -201,7 +201,7 @@ def theorem1_check(
         )
         checks.append(
             CertificateCheck(
-                "output_vs_weighted", out_dist / d ** ((2.0 * p - 1.0) / p), weighted_dist
+                "output_vs_weighted", out_dist / d ** (2.0 - 1.0 / p), weighted_dist
             )
         )
     return CertificateReport(

@@ -4,16 +4,18 @@ Output files are written to a temporary sibling and moved into place with
 os.replace, so readers never observe partial files and reruns are
 byte-for-byte stable; a failed write leaves the target as it was and an
 OSError names the target, not the temp file. CSV uses LF line endings,
-alphabetical headers and repr() for floats.
+alphabetical headers, true/false for bools and str() for every other
+value, which for a float or numpy float64 is its shortest round-trip text.
 
 JSON is written by one emitter whose output equals
 json.dumps(indent=2, sort_keys=True). It streams into the temp file: a
-container of scalars is one join and one write, and a container of
-containers writes its items as it goes, so the document is never held as
-one string. Float and quoted-key texts are memoized per document, since an
-encoding's snapshots repeat the same ledger strings and mostly the same
-values step after step. Zeros are not memoized: 0.0 == -0.0 as dict keys,
-but their texts differ.
+container of floats joins memoized texts, any other container of scalars
+is one call of json's C encoder, and a container of containers writes its
+items as it goes, so the document is never held as one string. json spells
+every scalar the memos do not hold. Float and quoted-key texts are memoized
+per document, since an encoding's snapshots repeat the same ledger strings
+and mostly the same values step after step. Zeros are not memoized:
+0.0 == -0.0 as dict keys, but their texts differ.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager, suppress
+from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -77,15 +80,14 @@ def _atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
         raise
 
 
-def _float_text(value: float) -> str:
-    # json's spellings of the non-finite values
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+# json's text of a bare scalar, an empty container or a non-finite float
+_encode = json.JSONEncoder().encode
+
+
+@lru_cache(maxsize=64)  # one per depth; the documents written here nest a few levels
+def _items_encoder(sep: str) -> Callable[[Any], str]:
+    """json's C encoder, with the items of a container separated by `sep`."""
+    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
 
 
 class _FloatTexts(dict):
@@ -95,7 +97,7 @@ class _FloatTexts(dict):
     """
 
     def __missing__(self, value: float) -> str:
-        text = _float_text(value)
+        text = float.__repr__(value) if math.isfinite(value) else _encode(value)
         if value:
             self[value] = text
         return text
@@ -111,40 +113,19 @@ class _KeyTexts(dict):
         return text
 
 
-def _scalar_text(value: Any, floats: _FloatTexts) -> str | None:
-    """The JSON text of a scalar or an empty container; None for any other container."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return floats[value]
-    if isinstance(value, (list, tuple)):
-        return None if value else "[]"
-    if isinstance(value, dict):
-        return None if value else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _emit_json(
     value: Any, indent: str, write: Callable[[str], Any], floats: _FloatTexts, keys: _KeyTexts
 ) -> None:
     """Write `value` as json.dumps(indent=2, sort_keys=True) writes it at this depth.
 
-    A container of scalars is one join and one write; a container that holds
-    containers writes its items as it goes, so no text larger than one such
-    container is ever built. Raises TypeError on a non-str key or a value
-    that is not a str, int, float, bool, None, list, tuple or dict.
+    A container of floats joins memoized texts, a container of other scalars
+    is one call of json's C encoder, and a container that holds containers
+    writes its items as it goes, so no text larger than one container of
+    scalars is ever built. Raises TypeError on a non-str key or a value that
+    is not a str, int, float, bool, None, list, tuple or dict.
     """
-    text = _scalar_text(value, floats)
-    if text is not None:
-        write(text)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        write(_encode(value))
         return
     if isinstance(value, dict):
         try:
@@ -159,27 +140,22 @@ def _emit_json(
         values = value
         opening, closing = "[\n", "]"
     kinds = set(map(type, values))
-    if kinds == {float}:  # ledger snapshots
-        texts = list(map(floats.__getitem__, values))
-    elif kinds == {str}:  # cluster members
-        texts = list(map(encode_basestring_ascii, values))
-    else:
-        texts = [_scalar_text(v, floats) for v in values]
     inner = indent + "  "
     sep = ",\n" + inner
-    if None not in texts:
-        items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
-        write(opening + inner + items + "\n" + indent + closing)
-        return
-    lead = opening + inner
-    for head, text, item in zip(heads or repeat(""), texts, values):
-        if text is None:
+    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        lead = opening + inner
+        for head, item in zip(heads or repeat(""), values):
             write(lead + head)
             _emit_json(item, inner, write, floats, keys)
-        else:
-            write(lead + head + text)
-        lead = sep
-    write("\n" + indent + closing)
+            lead = sep
+        write("\n" + indent + closing)
+        return
+    if kinds == {float}:  # ledger snapshots
+        texts = list(map(floats.__getitem__, values))
+        items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
+    else:
+        items = _items_encoder(sep)(value)[1:-1]
+    write(opening + inner + items + "\n" + indent + closing)
 
 
 def write_json(data: Any, path: str | os.PathLike) -> None:
@@ -219,8 +195,6 @@ def json_value(value: Any, kind: type, label: str) -> Any:
 def _cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_certificate_validation(monkeypatch):
             choi_state(at_cap)
     # any finite p is accepted: no quantity overflows or underflows at large p
     noisy = PauliChannel([(0.9, "II"), (0.06, "XZ"), (0.04, "YI")])
-    for p in (600, 1e308):
+    for p in (600, 1e308, sys.float_info.max):
         for rho in (DensityMatrix.maximally_mixed(4), DensityMatrix.from_basis_label("10")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -158,6 +159,10 @@ def test_certificate_validation(monkeypatch):
             assert report.satisfied and len(report.checks) == 4
             values = [report.renyi] + [v for c in report.checks for v in (c.lhs, c.rhs)]
             assert all(math.isfinite(v) for v in values), (p, values)
+            # 2 * p overflows here, but the exponent (2p - 1)/p is 2 to the last bit
+            if p > 1e300:
+                lhs = {c.name: c.lhs for c in report.checks}["output_vs_weighted"]
+                assert lhs == report.output_distance / 16 > 0, (p, lhs)
 
 
 def test_certificate_accepts_every_state_the_constructor_accepts():

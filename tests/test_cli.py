@@ -278,6 +278,35 @@ def test_certify_accepts_inf(tmp_path):
     assert json.loads(out.read_text())["p"] == "inf"
 
 
+def test_every_json_output_equals_json_dumps(files, tmp_path):
+    # certify's flat maps mix str, int, float, bool and None; the golden hashes leave them out
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = [
+        ["encode", "--target", files["target"], "--noise", files["noise"], "--tol", "0.1",
+         "--out", str(out / "enc.json"), "--effective-out", str(out / "eff.json")],
+        ["encode", "--target", files["bench_target"], "--noise", files["bench_noise"],
+         "--mode", "fixed", "--node", "XZ", "--tol", "1e-8", "--out", str(out / "fixed.json")],
+        ["cluster", "--node", "YI", "--noise", files["noise"], "--out", str(out / "cluster.json")],
+        ["benchmark", "--target", files["bench_target"], "--noise", files["bench_noise"],
+         "--n-steps", "20", "--out", str(tmp_path / "occ.csv"),
+         "--encoding-out", str(out / "bench-enc.json")],
+    ]
+    runs += [
+        ["certify", "--channel-a", files["bench_target"], "--channel-b", files["target"],
+         "--p", p, "--state", state, "--out", str(out / f"cert-{p}-{state}.json")]
+        for p in ("1", "2", "3.5", "inf")
+        for state in ("mixed", "01")
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_OK, argv
+    written = sorted(out.glob("*.json"))
+    assert len(written) == 13
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
 def test_benchmark_with_config_file(files, tmp_path):
     config = _write(tmp_path, "bench.json", {
         "n_steps": 50,

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+from collections import OrderedDict, namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -91,13 +93,33 @@ json_scalars = (
 # keys and values shared across the maps of one document, so both memos hit
 memo_keys = st.sampled_from(["a", "b", "é", "XZ"])
 memo_floats = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, 0.1 + 0.2, math.nan, math.inf])
+# every kind of scalar in one flat container, json's C-encoder case; np.float64 is a float
+# subclass, so it never takes the floats-only join
+mixed_scalars = (
+    st.none() | st.booleans() | st.integers() | json_keys
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | json_floats.map(np.float64)
+)
+Pair = namedtuple("Pair", "left right")
+
+
+class DictSubclass(dict):
+    pass
+
+
 json_values = st.recursive(
-    json_scalars,
+    json_scalars | st.sampled_from([[], {}, ()]),
     lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(json_keys, inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4).map(OrderedDict)
+    | st.dictionaries(json_keys, inner, max_size=4).map(DictSubclass)
+    | st.builds(Pair, inner, inner)
     # a dict of floats only, the emitter's one-join case
     | st.dictionaries(json_keys, json_floats, min_size=1, max_size=6)
-    | st.lists(st.dictionaries(memo_keys, memo_floats, min_size=1), min_size=2, max_size=5),
+    | st.lists(st.dictionaries(memo_keys, memo_floats, min_size=1), min_size=2, max_size=5)
+    | st.lists(st.lists(mixed_scalars, min_size=1, max_size=6), min_size=1, max_size=3)
+    | st.lists(st.dictionaries(json_keys, mixed_scalars, min_size=1, max_size=6), min_size=1,
+               max_size=3),
     max_leaves=20,
 )
 
@@ -179,8 +201,9 @@ def test_write_csv_format(tmp_path):
 def test_write_csv_full_float_precision(tmp_path):
     path = tmp_path / "t.csv"
     value = 1 / 3
-    write_csv([{"v": value}], path)
-    assert path.read_text().splitlines()[1] == repr(value)
+    # numpy 2 spells repr(np.float64(0.1)) "np.float64(0.1)"; its str is "0.1"
+    write_csv([{"v": value, "w": np.float64(0.1)}], path)
+    assert path.read_text().splitlines()[1] == repr(value) + ",0.1"
 
 
 def test_encoding_to_dict_contents():
