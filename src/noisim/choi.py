@@ -117,12 +117,16 @@ def renyi_entropy(rho: np.ndarray | DensityMatrix, p: float) -> float:
         raise ValueError(f"state has eigenvalue {eig.min():.3e} below {EIGENVALUE_FLOOR}")
     eig = np.clip(eig, 0.0, None)
     if math.isinf(p):
-        return float(-math.log(eig.max()))
-    if p == 1:
+        entropy = -math.log(eig.max())
+    elif p == 1:
         pos = eig[eig > 0]
-        return float(-np.sum(pos * np.log(pos)))
-    # ln Tr rho**p = p * ln ||eig||_p, whose power sum _p_norm scales by its largest term
-    return p / (1.0 - p) * math.log(_p_norm(eig, p))
+        entropy = -np.sum(pos * np.log(pos))
+    else:
+        # ln Tr rho**p = p * ln ||eig||_p, whose power sum _p_norm scales by its largest term
+        entropy = p / (1.0 - p) * math.log(_p_norm(eig, p))
+    # a pure state's entropy is a negative factor times ln 1 = 0.0, that is -0.0;
+    # adding 0.0 makes it 0.0 and leaves every other value as it is
+    return float(entropy) + 0.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -91,6 +91,15 @@ def test_renyi_entropy_limits():
         renyi_entropy(pure, 0)
 
 
+def test_renyi_entropy_of_a_pure_state_is_positive_zero():
+    # a negative factor p / (1 - p) times ln 1 would be -0.0, which JSON writes
+    for label in ("0", "01", "110"):
+        rho = DensityMatrix.from_basis_label(label)
+        for p in (1, 2, 3, 600, math.inf):
+            renyi = renyi_entropy(rho, p)
+            assert renyi == 0.0 and math.copysign(1.0, renyi) == 1.0, (label, p)
+
+
 def test_golden_certificate_fixture():
     # identity vs fully depolarizing on one qubit, rho = |0><0|, p = 2
     rho = DensityMatrix.from_basis_label("0")

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import all_texts
@@ -56,6 +56,76 @@ def test_thread_count_does_not_change_counts(monkeypatch):
                 CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=steps, threads=threads
             )
             assert report.counts == expected, (n_trials, steps, threads)
+
+
+BATCH = sampling._SEED_BATCH
+
+
+def _numpy_state(seed, trial):
+    return np.random.PCG64(np.random.SeedSequence([seed, trial])).state
+
+
+# seeds of one, two and three or more 32-bit words, with each word-count edge
+seeds = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**160),
+)
+
+
+@st.composite
+def trial_ranges(draw):
+    # ranges from 0, across a batch boundary, and across 2**32 and 2**64,
+    # where the trial's entropy gains a word
+    start = draw(st.one_of(
+        st.just(0),
+        st.integers(0, 2**40),
+        st.integers(2**32 - 8, 2**32),
+        st.integers(2**64 - 8, 2**64),
+    ))
+    length = draw(st.one_of(st.integers(1, 12), st.integers(BATCH - 2, BATCH + 6)))
+    return range(start, start + length)
+
+
+@given(seeds, trial_ranges())
+@example(0, range(0, 3))
+@example(2**32 - 1, range(BATCH - 2, 2 * BATCH + 2))
+@example(2**32, range(2**32 - 3, 2**32 + 3))
+@example(2**96 + 5, range(2**64 - 2, 2**64 + 2))
+@settings(max_examples=40, deadline=None)
+def test_trial_states_match_numpy(seed, trials):
+    states = list(sampling._trial_states(seed, trials))
+    assert len(states) == len(trials)
+    for trial, state in zip(trials, states):
+        assert state == _numpy_state(seed, trial), (seed, trial)
+
+
+def test_blocks_that_start_mid_batch(monkeypatch):
+    # at 2 and 3 threads a worker's block starts at a trial off the batch grid
+    # (257, 171, 343), and the second batch of threads=1 holds three trials
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    expected = _oracle_counts(4, BATCH + 3, 7)
+    for threads in (1, 2, 3):
+        report = run_trials(CHANNEL, seed=4, n_trials=BATCH + 3, steps_per_trial=7, threads=threads)
+        assert report.counts == expected, threads
+
+
+def test_trial_states_are_derived_in_bounded_batches(monkeypatch):
+    spans = []
+    seed_batch = sampling._seed_batch
+
+    def recorded(seed_words, lo, hi):
+        spans.append((lo, hi))
+        return seed_batch(seed_words, lo, hi)
+
+    monkeypatch.setattr(sampling, "_seed_batch", recorded)
+    n_trials = 5 * BATCH + 7
+    report = run_trials(CHANNEL, seed=2, n_trials=n_trials, steps_per_trial=1)
+    assert sum(report.counts) == n_trials
+    # contiguous batches covering every trial once, none longer than the cap
+    assert [t for lo, hi in spans for t in range(lo, hi)] == list(range(n_trials))
+    assert max(hi - lo for lo, hi in spans) == BATCH
 
 
 def _check_classifier(weights, extra_draws=()):
