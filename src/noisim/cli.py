@@ -15,7 +15,6 @@ from .choi import theorem1_check
 from .clusters import analyze_cluster
 from .dynamics import BenchmarkConfig, default_noise_channel, default_target_channel, run_benchmark
 from .encoder import EncodingResult, OverEncodedError, effective_channel, encode
-from .pauli import parse
 from .sampling import run_trials
 from .serialize import (
     benchmark_rows,
@@ -156,14 +155,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.noise:
-        noise = load_channel(args.noise)
-        generators = [s for s in noise.support if not s.is_identity()]
-        if not generators:
-            raise ValueError("noise channel has no non-identity strings")
-    else:
-        generators = [parse(g) for g in args.generators]
-    cluster = analyze_cluster(parse(args.node), generators)
+    generators = load_channel(args.noise).support if args.noise else args.generators
+    cluster = analyze_cluster(args.node, generators)
     write_json(cluster_to_dict(cluster), args.out)
     print(
         f"cluster of {cluster.node.text}: branching {cluster.branching_dimension}, "

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,12 @@ class PauliParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class PauliString:
-    """An unphased n-qubit Pauli string."""
+    """An unphased n-qubit Pauli string; its text is spelled once, when it is built."""
 
     n_qubits: int
     x_mask: int
     z_mask: int
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
@@ -84,9 +85,6 @@ class PauliString:
                 f"masks ({self.x_mask}, {self.z_mask}) out of range for "
                 f"{self.n_qubits} qubits"
             )
-
-    @property
-    def text(self) -> str:
         # four qubits per lookup; the last chunk can overrun n_qubits and is cut
         x, z, left = self.x_mask, self.z_mask, self.n_qubits
         text = ""
@@ -95,7 +93,7 @@ class PauliString:
             x >>= 4
             z >>= 4
             left -= 4
-        return text[: self.n_qubits]
+        object.__setattr__(self, "text", text[: self.n_qubits])
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0

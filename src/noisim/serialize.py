@@ -26,7 +26,6 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager, suppress
-from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -82,12 +81,6 @@ def _atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
 
 # json's text of a bare scalar, an empty container or a non-finite float
 _encode = json.JSONEncoder().encode
-
-
-@lru_cache(maxsize=64)  # one per depth; the documents written here nest a few levels
-def _items_encoder(sep: str) -> Callable[[Any], str]:
-    """json's C encoder, with the items of a container separated by `sep`."""
-    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
 
 
 class _FloatTexts(dict):
@@ -154,7 +147,7 @@ def _emit_json(
         texts = list(map(floats.__getitem__, values))
         items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
     else:
-        items = _items_encoder(sep)(value)[1:-1]
+        items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
     write(opening + inner + items + "\n" + indent + closing)
 
 
@@ -251,9 +244,6 @@ def load_channel(path: str | os.PathLike) -> PauliChannel:
 
 
 def encoding_to_dict(result: EncodingResult) -> dict:
-    # one text per string: the ledger only grows, so the final residues hold
-    # every snapshot's strings (`or` covers results built by hand)
-    text = {s: s.text for s in result.residues}
     return {
         "mode": result.mode,
         "stop_reason": result.stop_reason,
@@ -267,11 +257,11 @@ def encoding_to_dict(result: EncodingResult) -> dict:
                 "iteration": s.iteration,
                 "node": s.node.text,
                 "mass": s.mass,
-                "residues": {text.get(p) or p.text: r for p, r in s.residues},
+                "residues": {p.text: r for p, r in s.residues},
             }
             for s in result.steps
         ],
-        "residues": {text[s]: r for s, r in result.residues.items()},
+        "residues": {s.text: r for s, r in result.residues.items()},
         "target": channel_to_dict(result.target),
         "noise": channel_to_dict(result.noise),
     }

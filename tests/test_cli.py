@@ -207,6 +207,21 @@ def test_cluster_from_noise_support(files):
     assert json.loads(out.read_text())["all_to_all"] is True
 
 
+def test_cluster_of_identity_only_noise_is_the_trivial_orbit(tmp_path, capsys):
+    # the identity adds nothing to the span, from --noise as from --generators
+    noise = _write(tmp_path, "id.json", {"terms": [{"string": "II", "weight": 1.0}]})
+    by_noise, by_generators = tmp_path / "by-noise.json", tmp_path / "by-generators.json"
+    assert main(["cluster", "--node", "XZ", "--noise", noise, "--out", str(by_noise)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main(["cluster", "--node", "XZ", "--generators", "II", "--out", str(by_generators)]) == EXIT_OK
+    assert capsys.readouterr().out == printed
+    assert by_noise.read_bytes() == by_generators.read_bytes()
+    data = json.loads(by_noise.read_text())
+    assert data["members"] == ["XZ"] and data["cluster_dimension"] == 1
+    assert data["branching_dimension"] == 0 and data["all_to_all"] is True
+    assert data["leakage_entropy"] == 0.0
+
+
 def test_certify_command(tmp_path):
     a = _write(tmp_path, "a.json", {"terms": [{"string": "I", "weight": 1.0}]})
     b = _write(tmp_path, "b.json", {"terms": [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,18 @@ def test_text_matches_per_qubit_oracle(data):
     n = data.draw(st.integers(min_value=1, max_value=40))
     x = data.draw(st.integers(min_value=0, max_value=2**n - 1))
     z = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-    text = PauliString(n, x, z).text
-    assert text == text_oracle(n, x, z)
-    assert parse(text) == PauliString(n, x, z)
+    s = PauliString(n, x, z)
+    assert s.text == text_oracle(n, x, z)
+    assert parse(s.text) == s and hash(parse(s.text)) == hash(s)
+
+
+def test_replace_respells_and_text_cannot_be_assigned():
+    s = parse("XYZI")
+    assert dataclasses.replace(s, x_mask=0).text == "IZZI"
+    assert dataclasses.replace(s, n_qubits=5).text == "XYZII"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.text = "IIII"
+    assert s.text == "XYZI" and repr(s) == "PauliString('XYZI')"
 
 
 def test_parse_rejects_bad_input():

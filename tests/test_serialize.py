@@ -18,7 +18,8 @@ from noisim.dynamics import (
     default_target_channel,
     run_benchmark,
 )
-from noisim.encoder import encode_adaptive
+from noisim.encoder import STOP_ALL_WITHIN_TOL, EncodingResult, EncodingStep, encode_adaptive
+from noisim.pauli import parse
 from noisim.sampling import run_trials
 from noisim.serialize import (
     benchmark_rows,
@@ -221,6 +222,23 @@ def test_encoding_to_dict_contents():
     assert set(data["residues"]) == {"II", "XZ", "IY"}
     json.dumps(data)  # everything JSON-serializable
 
+
+
+def test_encoding_to_dict_spells_snapshot_strings_absent_from_final_residues():
+    # a result built by hand: its one snapshot holds ZZ, which the final ledger lacks
+    target = PauliChannel([(0.9, "II"), (0.1, "XZ")])
+    result = EncodingResult(
+        mode="fixed",
+        target=target,
+        noise=PauliChannel([(0.5, "II"), (0.5, "XX")]),
+        steps=(EncodingStep(1, parse("XZ"), 0.1, ((parse("ZZ"), 0.05), (parse("XZ"), 0.0))),),
+        residues={parse("II"): 0.9, parse("XZ"): 0.0},
+        encoded_mass=0.1,
+        stop_reason=STOP_ALL_WITHIN_TOL,
+    )
+    data = encoding_to_dict(result)
+    assert data["steps"][0]["residues"] == {"ZZ": 0.05, "XZ": 0.0}
+    assert data["residues"] == {"II": 0.9, "XZ": 0.0}
 
 def test_cluster_and_certificate_dicts():
     cluster = cluster_to_dict(analyze_cluster("YI", ["XX", "ZZ"]))
