@@ -173,8 +173,8 @@ def encode(
         table = _images(noise, node)
         images = [s for _, s in table if not s.is_identity()]
     elif mode == "adaptive":
-        # Q* is fixed by the noise channel; compute once
-        w_star, q_star = min(noise.terms, key=lambda wq: (-wq[0], wq[1].text))
+        # Q* is fixed by the noise; terms are sorted by text and max keeps the first tie
+        w_star, q_star = max(noise.terms, key=lambda wq: wq[0])
         id_string = identity(target.n_qubits)
     else:
         raise ValueError(f"unknown encoder mode {mode!r}")

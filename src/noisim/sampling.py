@@ -230,6 +230,8 @@ def run_trials(
         raise ValueError(f"need threads >= 1, got {threads}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
+    if n_trials * steps_per_trial >= 2**63:  # the int64 counts would overflow
+        raise ValueError(f"need trials * steps < 2**63, got {n_trials} * {steps_per_trial}")
     n_terms = len(channel.terms)
     classify = _Classifier(channel)
 

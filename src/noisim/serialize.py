@@ -6,6 +6,9 @@ byte-for-byte stable; a failed write leaves the target as it was and an
 OSError names the target, not the temp file. CSV uses LF line endings,
 alphabetical headers, true/false for bools and str() for every other
 value, which for a float or numpy float64 is its shortest round-trip text.
+CSV rows stream: write_csv reads them once, under the first row's headers,
+and benchmark_rows and sample_rows yield one row at a time, so a benchmark
+run holds its occupation arrays, not a dict per row.
 
 JSON is written by one emitter whose output equals
 json.dumps(indent=2, sort_keys=True). It streams into the temp file: a
@@ -26,10 +29,11 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager, suppress
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import sub
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .channels import PauliChannel
 from .choi import CertificateReport
@@ -191,18 +195,24 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def write_csv(rows: Sequence[Mapping[str, Any]], path: str | os.PathLike) -> None:
-    if not rows:
+def write_csv(rows: Iterable[Mapping[str, Any]], path: str | os.PathLike) -> None:
+    """Write `rows` under the first row's sorted keys, reading `rows` once.
+
+    Raises ValueError on no rows or on a row whose keys differ from the first
+    row's; the target is then left as it was.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("refusing to write an empty CSV")
-    headers = sorted(rows[0].keys())
-    for row in rows:
-        if sorted(row.keys()) != headers:
-            raise ValueError("rows disagree on CSV headers")
+    headers = sorted(first)
     with _atomic_open(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(v) for k, v in row.items()})
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(headers)
+        for row in chain((first,), rows):
+            if row.keys() != first.keys():
+                raise ValueError("rows disagree on CSV headers")
+            writer.writerow([_cell(row[k]) for k in headers])
 
 
 def channel_to_dict(channel: PauliChannel) -> dict:
@@ -294,31 +304,19 @@ def certificate_to_dict(report: CertificateReport) -> dict:
     }
 
 
-def benchmark_rows(result: BenchmarkResult) -> list[dict]:
-    n_sites = result.config.n_sites
-    rows = []
-    for i, t in enumerate(result.times):
-        row: dict[str, Any] = {"time": float(t)}
-        for q in range(1, n_sites + 1):
-            row[f"site{q}_target"] = float(result.target_occupations[i, q - 1])
-            row[f"site{q}_encoded"] = float(result.encoded_occupations[i, q - 1])
-        row["gap"] = float(
-            abs(result.target_occupations[i] - result.encoded_occupations[i]).max()
-        )
-        rows.append(row)
-    return rows
+def benchmark_rows(result: BenchmarkResult) -> Iterator[dict]:
+    sites = range(1, result.config.n_sites + 1)
+    target_names = [f"site{q}_target" for q in sites]
+    encoded_names = [f"site{q}_encoded" for q in sites]
+    occupations = zip(result.target_occupations, result.encoded_occupations)
+    for t, (target_row, encoded_row) in zip(result.times, occupations):
+        target, encoded = target_row.tolist(), encoded_row.tolist()
+        row: dict[str, Any] = {"time": float(t), "gap": max(map(abs, map(sub, target, encoded)))}
+        row.update(zip(target_names, target))
+        row.update(zip(encoded_names, encoded))
+        yield row
 
 
-def sample_rows(report: SampleReport) -> list[dict]:
-    rows = []
-    freqs = report.frequencies
-    for i, (w, s) in enumerate(report.channel.terms):
-        rows.append(
-            {
-                "string": s.text,
-                "weight": w,
-                "count": report.counts[i],
-                "frequency": freqs[i],
-            }
-        )
-    return rows
+def sample_rows(report: SampleReport) -> Iterator[dict]:
+    for (w, s), count, freq in zip(report.channel.terms, report.counts, report.frequencies):
+        yield {"string": s.text, "weight": w, "count": count, "frequency": freq}

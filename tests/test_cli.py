@@ -419,6 +419,20 @@ def test_sample_negative_seed_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials, steps", [(10**20, 1), (1, 10**20), (2**31, 2**32)])
+def test_sample_too_many_draws_exits_one(tmp_path, capsys, trials, steps):
+    # refused before any worker starts, since the int64 counts would overflow
+    eff = _write(tmp_path, "ch.json", BENCH_TARGET)
+    out = tmp_path / "s.csv"
+    code = main([
+        "sample", "--channel", eff, "--seed", "1", "--trials", str(trials),
+        "--steps", str(steps), "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert f"need trials * steps < 2**63, got {trials} * {steps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import os
+import tracemalloc
 from collections import OrderedDict, namedtuple
 
 import numpy as np
@@ -14,6 +17,7 @@ from noisim.channels import DensityMatrix
 from noisim.clusters import analyze_cluster
 from noisim.dynamics import (
     BenchmarkConfig,
+    BenchmarkResult,
     default_noise_channel,
     default_target_channel,
     run_benchmark,
@@ -199,6 +203,27 @@ def test_write_csv_format(tmp_path):
         write_csv([{"a": 1}, {"b": 2}], path)
 
 
+def test_write_csv_reads_a_one_shot_generator_as_its_list(tmp_path):
+    rows = [{"b": i / 3, "a": i, "c": 'q"' if i % 2 else "x,y", "d": i % 3 == 0}
+            for i in range(50)]
+    write_csv(rows, tmp_path / "list.csv")
+    write_csv((dict(row) for row in rows), tmp_path / "gen.csv")
+    assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+def test_write_csv_refuses_a_late_disagreeing_row_and_keeps_the_target(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv([{"a": 1}], path)
+    before = path.read_bytes()
+    # enough agreeing rows ahead of the bad one that the stream has reached the temp file
+    rows = [{"a": i, "b": 0.5} for i in range(2000)]
+    for bad in ({"a": 1}, {"a": 1, "c": 0.5}, {"a": 1, "b": 0.5, "c": 0.5}):
+        with pytest.raises(ValueError, match="rows disagree on CSV headers"):
+            write_csv(iter(rows + [bad]), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+
 def test_write_csv_full_float_precision(tmp_path):
     path = tmp_path / "t.csv"
     value = 1 / 3
@@ -258,13 +283,67 @@ def test_benchmark_and_sample_rows():
     result = run_benchmark(
         BenchmarkConfig(target=default_target_channel(), noise=default_noise_channel())
     )
-    rows = benchmark_rows(result)
+    rows = list(benchmark_rows(result))
     assert len(rows) == 201
     assert sorted(rows[0]) == ["gap", "site1_encoded", "site1_target",
                                "site2_encoded", "site2_target", "time"]
     assert rows[0]["site1_target"] == 1.0
 
     report = run_trials(CHANNEL, seed=2, n_trials=5, steps_per_trial=10)
-    srows = sample_rows(report)
+    srows = list(sample_rows(report))
     assert [r["string"] for r in srows] == ["II", "IY", "XZ"]
     assert sum(r["count"] for r in srows) == 50
+
+
+def _hand_built_benchmark(n_sites, n_rows):
+    """A result with random occupations, exact ties and signed zeros; no run behind it."""
+    rng = np.random.default_rng(7)
+    target = rng.random((n_rows, n_sites))
+    encoded = target + rng.normal(scale=1e-3, size=target.shape)
+    encoded[::3] = target[::3]
+    target[1, 0], encoded[1, 0] = -0.0, 0.0
+    return BenchmarkResult(
+        config=BenchmarkConfig(target=CHANNEL, noise=CHANNEL, n_sites=n_sites, n_steps=n_rows - 1),
+        encoding=None,
+        effective=None,
+        times=np.arange(n_rows) * 0.05,
+        target_occupations=target,
+        encoded_occupations=encoded,
+        max_gap=float(abs(target - encoded).max()),
+    )
+
+
+def test_benchmark_csv_matches_an_independent_rendering(tmp_path):
+    # 11 sites, so that site10_* sorts before site2_*
+    result = _hand_built_benchmark(11, 40)
+    target, encoded = result.target_occupations, result.encoded_occupations
+    sites = range(1, 12)
+    headers = sorted(["time", "gap"] + [f"site{q}_{kind}" for q in sites
+                                        for kind in ("target", "encoded")])
+    assert headers[:4] == ["gap", "site10_encoded", "site10_target", "site11_encoded"]
+    want = io.StringIO()
+    writer = csv.DictWriter(want, fieldnames=headers, lineterminator="\n")
+    writer.writeheader()
+    for i, t in enumerate(result.times):
+        row = {"time": t, "gap": np.abs(target[i] - encoded[i]).max()}
+        for q in sites:
+            row[f"site{q}_target"] = target[i, q - 1]
+            row[f"site{q}_encoded"] = encoded[i, q - 1]
+        writer.writerow({k: str(float(v)) for k, v in row.items()})
+    path = tmp_path / "b.csv"
+    write_csv(benchmark_rows(result), path)
+    assert path.read_bytes() == want.getvalue().encode()
+
+
+def test_benchmark_csv_streams_its_rows(tmp_path):
+    # a list of 20,001 row dicts alone would take megabytes
+    result = _hand_built_benchmark(2, 20_001)
+    path = tmp_path / "b.csv"
+    tracemalloc.start()
+    try:
+        write_csv(benchmark_rows(result), path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(path.read_text().splitlines()) == 20_002
