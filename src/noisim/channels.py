@@ -13,13 +13,15 @@ diagonalizes it, and the multipliers are the Pauli eigenvalues
 
 the 2-D transform of the d x d weight table (Flammia and Wallman,
 arXiv:1907.12976). So a channel applies through two transforms of a
-d x d array, whatever its number of terms.
+d x d array, whatever its number of terms. A map is built once per
+channel: its eigenvalue table, Hadamard factors and gather index serve
+every state it is applied to.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -55,8 +57,8 @@ class DensityMatrix:
 
     def __init__(self, matrix: np.ndarray) -> None:
         arr = np.array(matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"density matrix must be square, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise ValueError(f"density matrix must be square and nonempty, got shape {arr.shape}")
         herm = np.abs(arr - arr.conj().T).max()
         if not herm <= HERMITICITY_ATOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
@@ -171,69 +173,59 @@ def apply_pauli_channel(channel: PauliChannel, rho: DensityMatrix) -> DensityMat
         raise ValueError(
             f"state dim {rho.dim} incompatible with {channel.n_qubits} qubits"
         )
-    table = _eigenvalues(channel.n_qubits, channel.terms)
-    return DensityMatrix._known(_apply_eigenvalues(table, rho.matrix))
+    return DensityMatrix._known(_pauli_map(channel.n_qubits, channel.terms)(rho.matrix))
 
 
-def _wht(a: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform along axis 0 of a C-contiguous
-    real 2-D array, in place.
+def _pauli_map(
+    n_qubits: int, terms: Iterable[tuple[float, PauliString]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> sum_P w_P P rho P over (weight, string) pairs, on complex d x d
+    arrays, hermitized; the weights may be signed.
 
-    The 2**n-point transform is H_hi x H_lo, so two batched products with
-    Hadamard matrices of about 2**(n/2) rows replace one d x d product.
-    """
-    # a reshape of any other layout is a copy, and the result would be lost
-    if not a.flags.c_contiguous:
-        raise ValueError("_wht needs a C-contiguous array")
-    d, m = a.shape
-    n = d.bit_length() - 1
-    # Hadamard matrices of 2**(n // 2) and 2**(n - n // 2) points: (-1)**popcount(i & j)
-    hi, lo = (np.arange(1 << k) for k in (n // 2, n - n // 2))
-    hi, lo = _parity_signs(hi[:, None] & hi), _parity_signs(lo[:, None] & lo)
-    half = hi @ a.reshape(len(hi), -1)
-    np.matmul(lo, half.reshape(len(hi), len(lo), m), out=a.reshape(len(hi), len(lo), m))
-
-
-def _eigenvalues(n_qubits: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
-    """lam[s, k] = sum_P w_P (-1)**(x_P . s + z_P . k) over (weight, string) pairs.
-
-    lam[s, k] is the eigenvalue of the string with z bits s and x bits k,
-    both in index order (`pauli._index_bits`: qubit 1 the most significant bit).
+    The Hadamard factors, the gather index and the eigenvalue table are built
+    here, once per map. The table's lam[s, k] is the eigenvalue of the string
+    with z bits s and x bits k, both in index order (`pauli._index_bits`:
+    qubit 1 the most significant bit).
     """
     d = 1 << n_qubits
+    # the 2**n-point Walsh-Hadamard transform is H_hi x H_lo, so two batched products
+    # with Hadamard matrices of about 2**(n/2) rows replace one d x d product
+    hi, lo = (np.arange(1 << k) for k in (n_qubits // 2, n_qubits - n_qubits // 2))
+    h_hi, h_lo = _parity_signs(hi[:, None] & hi), _parity_signs(lo[:, None] & lo)
+    # rows and columns split into their high and low index bits, so the gather's
+    # index arrays broadcast from about 2 * d entries, not a d x d table
+    a, b = hi[:, None, None, None], lo[:, None, None]
+    xor_index = (a, b, a ^ hi[:, None], b ^ lo)
+
+    def wht(m: np.ndarray) -> None:
+        """Unnormalized transform along axis 0 of a real 2-D array, in place; only
+        arrays the map made reach it, and their reshapes are views, not copies."""
+        half = h_hi @ m.reshape(len(hi), -1)
+        np.matmul(h_lo, half.reshape(len(hi), len(lo), -1), out=m.reshape(len(hi), len(lo), -1))
+
+    def xor_gather(m: np.ndarray) -> np.ndarray:
+        """out[i, k] = m[i, i ^ k]; the gather is its own inverse."""
+        blocks = m.reshape(len(hi), len(lo), len(hi), len(lo))
+        # numpy leaves the layout of an advanced-indexing result open
+        return np.ascontiguousarray(blocks[xor_index].reshape(d, d))
+
     table = np.zeros((d, d))
     for w, s in terms:
         table[_index_bits(s.z_mask, n_qubits), _index_bits(s.x_mask, n_qubits)] += w
     # lam = H W H with W[x, z]: transform the transposed table, transpose, transform
-    _wht(table)
+    wht(table)
     table = np.ascontiguousarray(table.T)
-    _wht(table)
-    return table
+    wht(table)
 
+    def apply(rho: np.ndarray) -> np.ndarray:
+        g = xor_gather(rho)  # g[i, k] = rho[i, i ^ k]
+        wht(g.view(float))
+        g *= table
+        wht(g.view(float))
+        g = xor_gather(g)
+        g += g.conj().T
+        # the inverse transform's 1/d, a power of two, folds exactly into the 1/2
+        g *= 0.5 / d
+        return g
 
-def _xor_gather(m: np.ndarray) -> np.ndarray:
-    """out[i, k] = m[i, i ^ k]; the map is its own inverse.
-
-    Rows and columns split into their high and low index bits, so the index
-    arrays broadcast from about 2 * d entries, not a d x d table.
-    """
-    d = m.shape[0]
-    n = d.bit_length() - 1
-    hi, lo = np.arange(1 << (n // 2)), np.arange(1 << (n - n // 2))
-    a, b = hi[:, None, None, None], lo[:, None, None]
-    blocks = m.reshape(len(hi), len(lo), len(hi), len(lo))
-    # numpy leaves the layout of an advanced-indexing result open
-    return np.ascontiguousarray(blocks[a, b, a ^ hi[:, None], b ^ lo].reshape(d, d))
-
-
-def _apply_eigenvalues(table: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The channel with eigenvalue table `table` on a complex matrix, hermitized."""
-    g = _xor_gather(rho)  # g[i, k] = rho[i, i ^ k]
-    _wht(g.view(float))
-    g *= table
-    _wht(g.view(float))
-    g = _xor_gather(g)
-    g += g.conj().T
-    # the inverse transform's 1/d, a power of two, folds exactly into the 1/2
-    g *= 0.5 / len(g)
-    return g
+    return apply

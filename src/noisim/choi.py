@@ -35,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    EIGENVALUE_FLOOR,
-    DensityMatrix,
-    PauliChannel,
-    _apply_eigenvalues,
-    _eigenvalues,
-)
+from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _pauli_map
 from .pauli import _check_dense_size, monomial
 
 __all__ = [
@@ -178,8 +172,7 @@ def theorem1_check(
     delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}
     delta_w.update((s, -w) for s, w in weights_b.items())
     # E_a - E_b is the Pauli map with weights Dw, applied once
-    delta_table = _eigenvalues(channel_a.n_qubits, ((dw, s) for s, dw in delta_w.items()))
-    delta_out = _apply_eigenvalues(delta_table, rho.matrix)
+    delta_out = _pauli_map(channel_a.n_qubits, ((dw, s) for s, dw in delta_w.items()))(rho.matrix)
     # column P of B is Dw_P vec(P rho) / sqrt(d), vec stacking rows
     columns = np.empty((d * d, len(delta_w)), dtype=complex)
     for k, (s, dw) in enumerate(delta_w.items()):

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, PauliChannel, _apply_eigenvalues, _eigenvalues
+from .channels import DensityMatrix, PauliChannel, _pauli_map
 from .encoder import EncodingResult, effective_channel, encode
 from .pauli import MATRIX_QUBIT_CAP, _check_dense_size, identity
 
@@ -147,9 +147,9 @@ def evolve_occupations(
     """Site occupations over time, shape (n_steps + 1, n_sites).
 
     Row 0 is the initial state; each later row follows one application of
-    all unitaries (in the given order) and one channel round. The factors
-    are multiplied into one step unitary once per call, and the channel's
-    eigenvalue table is built once per call.
+    all unitaries (in the given order) and one channel round. Once per call,
+    the factors are multiplied into one step unitary and the channel's map
+    (eigenvalue table, Hadamard factors, gather index) is built.
     """
     if isinstance(initial, str):
         initial = DensityMatrix.from_basis_label(initial)
@@ -163,7 +163,7 @@ def evolve_occupations(
         raise ValueError(f"channel acts on {channel.n_qubits} qubits, state on {n_sites}")
     # the first factor acts first, so it is the rightmost in the product
     step = reduce(np.matmul, unitaries[::-1]) if unitaries else np.eye(initial.dim)
-    table = None if channel is None else _eigenvalues(channel.n_qubits, channel.terms)
+    channel_map = None if channel is None else _pauli_map(channel.n_qubits, channel.terms)
     rho = initial.matrix
     del initial  # a state built here is freed once rho moves on
     out = np.empty((n_steps + 1, n_sites))
@@ -171,8 +171,8 @@ def evolve_occupations(
     for row in range(1, n_steps + 1):
         # U rho U^dag as (U (U rho)^dag)^dag, so no conjugate of U is kept
         rho = (step @ (step @ rho).conj().T).conj().T
-        if table is not None:
-            rho = _apply_eigenvalues(table, rho)
+        if channel_map is not None:
+            rho = channel_map(rho)
         out[row] = site_occupations(rho, n_sites)
     return out
 
@@ -257,7 +257,7 @@ def scale_channel_weights(channel: PauliChannel, factor: float) -> PauliChannel:
     Used when refining dt at fixed physical decoherence rate: the per-step
     error probabilities shrink proportionally to the step.
     """
-    if factor < 0:
+    if not factor >= 0:
         raise ValueError(f"need factor >= 0, got {factor}")
     terms = []
     id_weight = 0.0

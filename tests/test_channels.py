@@ -9,17 +9,15 @@ from noisim.channels import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
     PauliChannel,
-    _eigenvalues,
-    _wht,
+    _pauli_map,
     apply_pauli_channel,
 )
-from noisim.pauli import MATRIX_QUBIT_CAP, parse
+from noisim.pauli import MATRIX_QUBIT_CAP, identity, parse
 
 from helpers import (
     all_texts,
     apply_channel_dense,
     dense_string,
-    hadamard,
     random_channel_terms,
     random_density,
 )
@@ -92,39 +90,46 @@ def test_eigenvalue_apply_matches_dense_oracle_up_to_six_qubits(seed, n, full, p
     assert np.abs(out.matrix - apply_channel_dense(terms, rho)).max() < 1e-12
 
 
-def test_wht_refuses_an_array_it_cannot_transform_in_place():
-    a = np.arange(16.0).reshape(4, 4)
-    with pytest.raises(ValueError):
-        _wht(a.T)
-    _wht(a)
-    assert a[:, 0].tolist() == [24.0, -8.0, -16.0, 0.0]
+def test_map_reads_a_noncontiguous_input_like_its_copy():
+    # the transform works in place on arrays the map allocates, so a view of
+    # another layout must come out as its copy does, not be lost in a reshape
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        terms = random_channel_terms(rng, n, max_terms=8)
+        channel_map = _pauli_map(n, PauliChannel(terms).terms)
+        rho = random_density(rng, 2**n).T
+        assert not rho.flags.c_contiguous
+        out = channel_map(rho)
+        assert np.array_equal(out, channel_map(np.ascontiguousarray(rho))), n
+        assert np.abs(out - apply_channel_dense(terms, rho)).max() < 1e-12, n
 
 
-def test_wht_is_the_kronecker_hadamard_product_exactly():
-    # integer entries keep every partial sum exact, so the results must be equal
+def test_identity_map_returns_an_integer_matrix_exactly():
+    # integer entries keep every partial sum of both transforms exact, and the
+    # 1/(2d) is a power of two, so the identity channel must return the same bits
     rng = np.random.default_rng(3)
     for n in range(1, 9):
-        a = rng.integers(-9, 10, size=(2**n, 3)).astype(float)
-        expected = hadamard(n) @ a
-        _wht(a)
-        assert np.array_equal(a, expected), n
+        a = rng.integers(-9, 10, size=(2**n, 2**n)) + 1j * rng.integers(-9, 10, size=(2**n, 2**n))
+        m = a + a.conj().T
+        assert np.array_equal(_pauli_map(n, [(1.0, identity(n))])(m), m), n
 
 
-@given(seeds, st.integers(min_value=1, max_value=3), st.booleans())
+@given(seeds, st.integers(min_value=1, max_value=3), st.sampled_from(["random", "full", "signed"]))
 @settings(max_examples=40, deadline=None)
-def test_eigenvalue_table_is_the_pauli_spectrum(seed, n, full):
+def test_eigenvalue_table_is_the_pauli_spectrum(seed, n, weights):
     rng = np.random.default_rng(seed)
-    terms = _full_support_terms(rng, n) if full else random_channel_terms(rng, n, max_terms=8)
-    channel = PauliChannel(terms)
-    table = _eigenvalues(n, channel.terms)
-    assert table.shape == (2**n, 2**n)
+    if weights == "full":
+        terms = _full_support_terms(rng, n)
+    else:
+        terms = random_channel_terms(rng, n, max_terms=8)
+    if weights == "signed":  # a difference of two channels, as theorem1_check passes
+        terms = [(w * sign, t) for (w, t), sign in zip(terms, rng.choice([-1.0, 1.0], len(terms)))]
+    channel_map = _pauli_map(n, [(w, parse(t)) for w, t in terms])
     for text in all_texts(n):
-        # row: the string's z bits, column: its x bits, qubit 1 the most significant
-        z = int("".join("1" if c in "ZY" else "0" for c in text), 2)
-        x = int("".join("1" if c in "XY" else "0" for c in text), 2)
         q = dense_string(text)
+        # every string is an eigenvector, with eigenvalue Tr(P E(P)) / d
         expected = np.trace(q @ apply_channel_dense(terms, q)).real / 2**n
-        assert abs(table[z, x] - expected) < 1e-12
+        assert np.abs(channel_map(q.astype(complex)) - expected * q).max() < 1e-12
 
 
 @given(seeds)
@@ -151,6 +156,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.full((2, 2), math.nan))  # every comparison with NaN is False
+    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+        DensityMatrix(np.zeros((0, 0)))  # no entries, so no maximum to check
     with pytest.raises(ValueError, match="refusing a dense 11-qubit state"):
         DensityMatrix.maximally_mixed(2 ** MATRIX_QUBIT_CAP + 1)
     assert DensityMatrix.maximally_mixed(2**MATRIX_QUBIT_CAP).n_qubits == MATRIX_QUBIT_CAP

@@ -232,6 +232,27 @@ def test_benchmark_fixed_encoder_and_errors():
         run_benchmark(BenchmarkConfig(target=cfg.target, noise=cfg.noise, initial="101"))
 
 
+def test_channel_map_is_built_once_per_call(monkeypatch):
+    # the Hadamard factors come from _parity_signs when a map is made; a
+    # longer run must apply the same map, not build more of them
+    import noisim.channels
+
+    parity_signs, calls = noisim.channels._parity_signs, []
+
+    def counted(a):
+        calls.append(1)
+        return parity_signs(a)
+
+    monkeypatch.setattr(noisim.channels, "_parity_signs", counted)
+    unitaries = trotter_step_unitaries(2, 1.0, 0.5, 0.05)
+    counts = []
+    for n_steps in (5, 50):
+        calls.clear()
+        evolve_occupations("10", unitaries, default_target_channel(), n_steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_scale_channel_weights():
     ch = default_target_channel()
     half = scale_channel_weights(ch, 0.5)
@@ -244,6 +265,8 @@ def test_scale_channel_weights():
     assert no_id.weight(parse("I")) == pytest.approx(0.6)
     with pytest.raises(ValueError):
         scale_channel_weights(ch, -0.5)
+    with pytest.raises(ValueError, match="factor >= 0, got nan"):
+        scale_channel_weights(ch, math.nan)
 
 
 def test_default_channels_are_ratio_matched():
