@@ -61,10 +61,7 @@ _BENCH_SETTINGS: dict[str, tuple[type, dict[str, Any]]] = {
     "n_steps": (int, {}), "initial": (str, {}),
     "encoder": (str, {"choices": ["fixed", "adaptive"]}),
     "node": (str, {}), "tol": (float, {}), "max_iters": (int, {}),
-    "step_method": (str, {
-        "choices": ["auto", "trotter", "exact_exponential"],
-        "help": "auto (the default): exact_exponential up to two sites, else trotter",
-    }),
+    "step_method": (str, {"choices": ["trotter", "exact_exponential"]}),
 }
 
 

@@ -61,6 +61,8 @@ def test_channel_validation():
         PauliChannel([(math.nan, "I"), (1.0, "X")])
     with pytest.raises(ValueError):
         PauliChannel([(math.inf, "I"), (1.0, "X")])
+    with pytest.raises(ValueError, match="state dim 4 incompatible with 1 qubits"):
+        apply_pauli_channel(PauliChannel([(1.0, "I")]), DensityMatrix.maximally_mixed(4))
 
 
 @given(seeds, st.integers(min_value=1, max_value=4))
@@ -158,6 +160,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.full((2, 2), math.nan))  # every comparison with NaN is False
     with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
         DensityMatrix(np.zeros((0, 0)))  # no entries, so no maximum to check
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+        DensityMatrix(np.eye(3) / 3).n_qubits
     with pytest.raises(ValueError, match="refusing a dense 11-qubit state"):
         DensityMatrix.maximally_mixed(2 ** MATRIX_QUBIT_CAP + 1)
     assert DensityMatrix.maximally_mixed(2**MATRIX_QUBIT_CAP).n_qubits == MATRIX_QUBIT_CAP

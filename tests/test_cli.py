@@ -338,10 +338,12 @@ def test_benchmark_with_config_file(files, tmp_path):
 
 
 def test_benchmark_rejects_unknown_config_keys(tmp_path, capsys):
-    config = _write(tmp_path, "bench.json", {"n_step": 50})
-    code = main(["benchmark", "--config", config, "--out", str(tmp_path / "o.csv")])
-    assert code == EXIT_USAGE
-    assert "unknown keys" in capsys.readouterr().err
+    for doc, message in (({"n_step": 50}, "unknown keys"),
+                         ([{"n_steps": 50}], "expected a config object")):
+        config = _write(tmp_path, "bench.json", doc)
+        code = main(["benchmark", "--config", config, "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE, doc
+        assert message in capsys.readouterr().err, doc
 
 
 @pytest.mark.parametrize("text", [
@@ -387,6 +389,46 @@ def test_refused_allocation_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("noisim: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_benchmark_default_steps_are_the_trotter_factors(tmp_path):
+    # one step rule at every size: the default writes what --step-method trotter writes
+    default, trotter = tmp_path / "default.csv", tmp_path / "trotter.csv"
+    assert main(["benchmark", "--n-steps", "60", "--out", str(default)]) == EXIT_OK
+    assert main(["benchmark", "--n-steps", "60", "--step-method", "trotter",
+                 "--out", str(trotter)]) == EXIT_OK
+    assert default.read_bytes() == trotter.read_bytes()
+
+
+def test_bad_chain_is_refused_before_encoding(tmp_path, capsys, monkeypatch):
+    import noisim.dynamics
+
+    encode, calls = noisim.dynamics.encode, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(noisim.dynamics, "encode", counted)
+    n = MATRIX_QUBIT_CAP + 1
+    three = _write(tmp_path, "three.json", {"terms": [
+        {"string": "III", "weight": 0.9}, {"string": "XII", "weight": 0.1}]})
+    wide = _write(tmp_path, "wide.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})
+    auto = _write(tmp_path, "auto.json", {"step_method": "auto"})
+    out = tmp_path / "o.csv"
+    for argv in (
+        ["--dt", "0"],
+        ["--coupling", "1e308", "--dt", "10"],
+        ["--target", three, "--noise", three, "--n-sites", "3", "--initial", "100",
+         "--step-method", "exact_exponential"],
+        ["--target", wide, "--noise", wide, "--n-sites", str(n), "--initial", "1" + "0" * (n - 1)],
+        ["--config", auto],
+    ):
+        calls.clear()
+        code = main(["benchmark", *argv, "--out", str(out)])
+        assert (code, calls) == (EXIT_USAGE, []), argv
+        assert capsys.readouterr().err.startswith("noisim: "), argv
+        assert not out.exists(), argv
 
 
 def test_benchmark_needs_channels_beyond_two_sites(tmp_path):
@@ -439,6 +481,18 @@ def test_unknown_command_exits_one():
     assert err.value.code == EXIT_USAGE
 
 
+def test_refused_flag_values_exit_one(files, capsys):
+    pair = ["--channel-a", files["target"], "--channel-b", files["noise"]]
+    for argv, message in (
+        (["certify", *pair, "--p", "abc"], "invalid Schatten order 'abc'"),
+        (["benchmark", "--step-method", "auto"], "invalid choice: 'auto'"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(files["dir"] / "x.out")])
+        assert err.value.code == EXIT_USAGE, argv
+        assert message in capsys.readouterr().err, argv
+
+
 def test_missing_file_exits_one(files, capsys):
     code = main([
         "encode", "--target", "/nonexistent.json", "--noise", files["noise"],
@@ -468,6 +522,8 @@ def test_malformed_channel_exits_one(tmp_path):
         '{"terms": [{"string": "I", "weight": Infinity}]}',
         # json.load raises RecursionError here
         "[" * 100_000,
+        # valid JSON, but an array of terms, not a channel object
+        '[{"string": "I", "weight": 1.0}]',
     ):
         bad.write_text(text)
         code = main([

@@ -80,13 +80,15 @@ def test_split_is_exact_up_to_two_sites():
 
 
 def test_single_excitation_rabi_oscillation():
+    # the split factors are exact at two sites, so they meet cos^2(gt) as the exponential does
     g, dt, steps = 0.5, 0.05, 200
-    (u,) = trotter_step_unitaries(2, 1.0, g, dt, method="exact_exponential")
-    occ = evolve_occupations("10", (u,), None, steps)
     t = np.arange(steps + 1) * dt
-    assert np.abs(occ[:, 0] - np.cos(g * t) ** 2).max() < 1e-12
-    assert np.abs(occ[:, 1] - np.sin(g * t) ** 2).max() < 1e-12
-    assert np.abs(occ.sum(axis=1) - 1.0).max() < 1e-12
+    for method in ("trotter", "exact_exponential"):
+        factors = trotter_step_unitaries(2, 1.0, g, dt, method=method)
+        occ = evolve_occupations("10", factors, None, steps)
+        assert np.abs(occ[:, 0] - np.cos(g * t) ** 2).max() < 1e-12, method
+        assert np.abs(occ[:, 1] - np.sin(g * t) ** 2).max() < 1e-12, method
+        assert np.abs(occ.sum(axis=1) - 1.0).max() < 1e-12, method
 
 
 def test_site_occupations_on_basis_states():
@@ -94,6 +96,8 @@ def test_site_occupations_on_basis_states():
 
     assert site_occupations(DensityMatrix.from_basis_label("10"), 2).tolist() == [1.0, 0.0]
     assert site_occupations(DensityMatrix.from_basis_label("011"), 3).tolist() == [0.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match=r"state dim 4 != 2\*\*3"):
+        site_occupations(DensityMatrix.from_basis_label("10"), 3)
 
 
 def test_step_unitaries_are_unitary():
@@ -267,6 +271,9 @@ def test_scale_channel_weights():
         scale_channel_weights(ch, -0.5)
     with pytest.raises(ValueError, match="factor >= 0, got nan"):
         scale_channel_weights(ch, math.nan)
+    # (0.5 I, 0.5 X) scaled by 3 would need weight 1.5 on X and -0.5 on I
+    with pytest.raises(ValueError, match="drives identity weight to -0.5"):
+        scale_channel_weights(PauliChannel([(0.5, "I"), (0.5, "X")]), 3.0)
 
 
 def test_default_channels_are_ratio_matched():
