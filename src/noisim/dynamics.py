@@ -44,12 +44,16 @@ __all__ = [
 EXACT_SITE_CAP = 2
 
 
+def _excitations(n_sites: int) -> np.ndarray:
+    """0/1 table whose [i, q - 1] is site q's bit of basis index i: bit n_sites - q."""
+    return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+
+
 def _onsite_energies(n_sites: int, omega0: float) -> np.ndarray:
     """Diagonal of omega0/2 * sum_q sigma_z(q): each excited site lowers it by omega0."""
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    excited = np.array([i.bit_count() for i in range(2**n_sites)])
-    return 0.5 * omega0 * (n_sites - 2 * excited)
+    return 0.5 * omega0 * (n_sites - 2 * _excitations(n_sites).sum(axis=1))
 
 
 def chain_hamiltonian(n_sites: int, omega0: float, g: float) -> np.ndarray:
@@ -131,12 +135,7 @@ def site_occupations(rho: DensityMatrix | np.ndarray, n_sites: int) -> np.ndarra
     diag = np.real(np.diagonal(mat))
     if diag.size != 2**n_sites:
         raise ValueError(f"state dim {diag.size} != 2**{n_sites}")
-    idx = np.arange(diag.size)
-    occ = np.empty(n_sites)
-    for q in range(1, n_sites + 1):
-        mask = 1 << (n_sites - q)
-        occ[q - 1] = diag[(idx & mask) != 0].sum()
-    return occ
+    return diag @ _excitations(n_sites)
 
 
 def evolve_occupations(

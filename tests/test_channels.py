@@ -32,6 +32,11 @@ def test_channel_canonical_form():
     assert ch.weight(parse("YY")) == 0.0
     assert ch.support == (parse("II"), parse("XZ"))
     assert ch.n_qubits == 2
+    # reordered and duplicated terms give an equal channel with an equal hash
+    same = PauliChannel([(0.5, "XZ"), (0.25, "II"), (0.25, "II")])
+    assert same == ch and hash(same) == hash(ch)
+    assert {ch: "first"}[same] == "first"
+    assert (ch == 3) is False and ch != 3
 
 
 @given(seeds, st.integers(min_value=1, max_value=3))

@@ -9,6 +9,7 @@ from helpers import apply_channel_dense, dense_string, random_channel_terms, ran
 from noisim.channels import DensityMatrix, PauliChannel
 from noisim.dynamics import (
     BenchmarkConfig,
+    _onsite_energies,
     chain_hamiltonian,
     default_noise_channel,
     default_target_channel,
@@ -98,6 +99,34 @@ def test_site_occupations_on_basis_states():
     assert site_occupations(DensityMatrix.from_basis_label("011"), 3).tolist() == [0.0, 1.0, 1.0]
     with pytest.raises(ValueError, match=r"state dim 4 != 2\*\*3"):
         site_occupations(DensityMatrix.from_basis_label("10"), 3)
+
+
+def _masked_occupations(diag, n):
+    """One masked sum per site: site q is bit n - q of the basis index."""
+    idx = np.arange(diag.size)
+    return np.array([diag[(idx & (1 << (n - q))) != 0].sum() for q in range(1, n + 1)])
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10))
+@settings(max_examples=100, deadline=None)
+def test_site_occupations_match_masked_sums(seed, n):
+    rng = np.random.default_rng(seed)
+    # powers of uniform draws spread the weights over several scales
+    diag = rng.random(2**n) ** int(rng.integers(1, 6))
+    diag /= diag.sum()
+    occ = site_occupations(np.diag(diag), n)
+    oracle = _masked_occupations(diag, n)
+    # the two sums add the same terms in different orders
+    assert np.abs(occ - oracle).max() <= 8 * np.finfo(float).eps * diag.sum()
+    if n <= 2:  # each site sums at most two nonzero terms, so no order differs
+        assert (occ == oracle).all()
+
+
+def test_onsite_energies_match_popcount():
+    for n in range(1, 11):
+        excited = np.array([i.bit_count() for i in range(2**n)])
+        for omega0 in (1.0, -0.37, 2.5e3):
+            assert np.array_equal(_onsite_energies(n, omega0), 0.5 * omega0 * (n - 2 * excited))
 
 
 def test_step_unitaries_are_unitary():
@@ -207,6 +236,8 @@ def test_evolution_validation():
         evolve_occupations("10", (u,), None, -1)
     with pytest.raises(ValueError):
         evolve_occupations("10", (u,), PauliChannel([(1.0, "I")]), 10)
+    # a one-dimensional state has no sites, so each row is empty
+    assert evolve_occupations(DensityMatrix(np.eye(1)), (), None, 2).shape == (3, 0)
 
 
 def test_default_benchmark_recovers_target_evolution():
