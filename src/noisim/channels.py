@@ -14,7 +14,7 @@ diagonalizes it, and the multipliers are the Pauli eigenvalues
 the 2-D transform of the d x d weight table (Flammia and Wallman,
 arXiv:1907.12976). So a channel applies through two transforms of a
 d x d array, whatever its number of terms. A map is built once per
-channel: its eigenvalue table, Hadamard factors and gather index serve
+channel: its eigenvalue table, Hadamard factors and flat XOR index serve
 every state it is applied to.
 """
 
@@ -182,32 +182,25 @@ def _pauli_map(
     """rho -> sum_P w_P P rho P over (weight, string) pairs, on complex d x d
     arrays, hermitized; the weights may be signed.
 
-    The Hadamard factors, the gather index and the eigenvalue table are built
-    here, once per map. The table's lam[s, k] is the eigenvalue of the string
-    with z bits s and x bits k, both in index order (`pauli._index_bits`:
-    qubit 1 the most significant bit).
+    The Hadamard factors, the flat XOR index and the eigenvalue table are built
+    once per map (index and table hold 8 MiB each at 10 qubits). The table's
+    lam[s, k] is the eigenvalue of the string with z bits s and x bits k, both
+    in index order (`pauli._index_bits`: qubit 1 the most significant bit).
     """
     d = 1 << n_qubits
     # the 2**n-point Walsh-Hadamard transform is H_hi x H_lo, so two batched products
     # with Hadamard matrices of about 2**(n/2) rows replace one d x d product
     hi, lo = (np.arange(1 << k) for k in (n_qubits // 2, n_qubits - n_qubits // 2))
     h_hi, h_lo = _parity_signs(hi[:, None] & hi), _parity_signs(lo[:, None] & lo)
-    # rows and columns split into their high and low index bits, so the gather's
-    # index arrays broadcast from about 2 * d entries, not a d x d table
-    a, b = hi[:, None, None, None], lo[:, None, None]
-    xor_index = (a, b, a ^ hi[:, None], b ^ lo)
+    # np.take(m, xor_index)[i, k] = m[i, i ^ k], C-ordered whatever m's layout; self-inverse
+    rows = np.arange(d)[:, None]
+    xor_index = rows * d + (rows ^ np.arange(d))
 
     def wht(m: np.ndarray) -> None:
         """Unnormalized transform along axis 0 of a real 2-D array, in place; only
         arrays the map made reach it, and their reshapes are views, not copies."""
         half = h_hi @ m.reshape(len(hi), -1)
         np.matmul(h_lo, half.reshape(len(hi), len(lo), -1), out=m.reshape(len(hi), len(lo), -1))
-
-    def xor_gather(m: np.ndarray) -> np.ndarray:
-        """out[i, k] = m[i, i ^ k]; the gather is its own inverse."""
-        blocks = m.reshape(len(hi), len(lo), len(hi), len(lo))
-        # numpy leaves the layout of an advanced-indexing result open
-        return np.ascontiguousarray(blocks[xor_index].reshape(d, d))
 
     table = np.zeros((d, d))
     for w, s in terms:
@@ -218,11 +211,11 @@ def _pauli_map(
     wht(table)
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        g = xor_gather(rho)  # g[i, k] = rho[i, i ^ k]
+        g = np.take(rho, xor_index)  # g[i, k] = rho[i, i ^ k]
         wht(g.view(float))
         g *= table
         wht(g.view(float))
-        g = xor_gather(g)
+        g = np.take(g, xor_index)
         g += g.conj().T
         # the inverse transform's 1/d, a power of two, folds exactly into the 1/2
         g *= 0.5 / d

@@ -166,7 +166,7 @@ def theorem1_check(
     if da != db or da != rho.dim:
         raise ValueError(f"dimension mismatch: channels {da}/{db}, state {rho.dim}")
     d = da
-    _check_dense_size(channel_a.n_qubits, "Choi matrix", CHOI_QUBIT_CAP)
+    _check_dense_size(channel_a.n_qubits, "certificate column matrix", CHOI_QUBIT_CAP)
 
     weights_b = {s: w for w, s in channel_b.terms}
     delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}

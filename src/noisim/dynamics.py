@@ -138,6 +138,20 @@ def site_occupations(rho: DensityMatrix | np.ndarray, n_sites: int) -> np.ndarra
     return diag @ _excitations(n_sites)
 
 
+def _step_unitary(unitaries: Sequence[np.ndarray]) -> np.ndarray:
+    """The factors as one step unitary: the first acts first, so it is the rightmost."""
+    return reduce(np.matmul, unitaries[::-1])
+
+
+def _initial_state(initial: DensityMatrix | str, n_steps: int) -> DensityMatrix:
+    """The state a run starts from; a bad label, then a negative step count, is refused."""
+    if isinstance(initial, str):
+        initial = DensityMatrix.from_basis_label(initial)
+    if n_steps < 0:
+        raise ValueError(f"need n_steps >= 0, got {n_steps}")
+    return initial
+
+
 def evolve_occupations(
     initial: DensityMatrix | str,
     unitaries: Sequence[np.ndarray],
@@ -149,20 +163,16 @@ def evolve_occupations(
     Row 0 is the initial state; each later row follows one application of
     all unitaries (in the given order) and one channel round. Once per call,
     the factors are multiplied into one step unitary and the channel's map
-    (eigenvalue table, Hadamard factors, gather index) is built.
+    (eigenvalue table, Hadamard factors, flat XOR index) is built.
     """
-    if isinstance(initial, str):
-        initial = DensityMatrix.from_basis_label(initial)
-    if n_steps < 0:
-        raise ValueError(f"need n_steps >= 0, got {n_steps}")
+    initial = _initial_state(initial, n_steps)
     n_sites = initial.n_qubits
     for u in unitaries:
         if u.shape != (initial.dim, initial.dim):
             raise ValueError(f"unitary shape {u.shape} != state dim {initial.dim}")
     if channel is not None and channel.n_qubits != n_sites:
         raise ValueError(f"channel acts on {channel.n_qubits} qubits, state on {n_sites}")
-    # the first factor acts first, so it is the rightmost in the product
-    step = reduce(np.matmul, unitaries[::-1]) if unitaries else np.eye(initial.dim)
+    step = _step_unitary(unitaries) if unitaries else np.eye(initial.dim)
     channel_map = None if channel is None else _pauli_map(channel.n_qubits, channel.terms)
     rho = initial.matrix
     del initial  # a state built here is freed once rho moves on
@@ -216,8 +226,8 @@ class BenchmarkResult:
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     """Evolve under the target channel and under its encoding, compare.
 
-    Both runs share the same step unitaries, so `max_gap` isolates the
-    decoherence mismatch left by the encoder. The unitaries are the Trotter
+    Both runs share one step unitary, composed once, so `max_gap` isolates the
+    decoherence mismatch left by the encoder. It is the product of the Trotter
     factors unless `step_method` opts in to the exact-exponential reference.
     """
     cfg = config
@@ -225,27 +235,23 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
         raise ValueError(
             f"initial label {cfg.initial!r} has {len(cfg.initial)} sites, expected {cfg.n_sites}"
         )
-    # the chain is checked before the encoder runs, so a bad chain costs no encoding
-    unitaries = trotter_step_unitaries(
+    # checked before the encoder runs, so a bad chain, label or step count costs no encoding
+    steps = (_step_unitary(trotter_step_unitaries(
         cfg.n_sites, cfg.omega0, cfg.coupling, cfg.dt, method=cfg.step_method
-    )
+    )),)
+    _initial_state(cfg.initial, cfg.n_steps)  # the state is dropped, not kept through both runs
     encoding = encode(
         cfg.target, cfg.noise,
         mode=cfg.encoder, node=cfg.node, tol=cfg.tol, max_iters=cfg.max_iters,
     )
     effective = effective_channel(encoding)
-    reference = evolve_occupations(cfg.initial, unitaries, cfg.target, cfg.n_steps)
-    encoded = evolve_occupations(cfg.initial, unitaries, effective, cfg.n_steps)
-    gap = float(np.abs(reference - encoded).max())
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    reference = evolve_occupations(cfg.initial, steps, cfg.target, cfg.n_steps)
+    encoded = evolve_occupations(cfg.initial, steps, effective, cfg.n_steps)
     return BenchmarkResult(
-        config=cfg,
-        encoding=encoding,
-        effective=effective,
-        times=times,
-        target_occupations=reference,
-        encoded_occupations=encoded,
-        max_gap=gap,
+        config=cfg, encoding=encoding, effective=effective,
+        times=np.arange(cfg.n_steps + 1) * cfg.dt,
+        target_occupations=reference, encoded_occupations=encoded,
+        max_gap=float(np.abs(reference - encoded).max()),
     )
 
 

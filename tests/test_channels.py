@@ -113,9 +113,10 @@ def test_map_reads_a_noncontiguous_input_like_its_copy():
 
 def test_identity_map_returns_an_integer_matrix_exactly():
     # integer entries keep every partial sum of both transforms exact, and the
-    # 1/(2d) is a power of two, so the identity channel must return the same bits
+    # 1/(2d) is a power of two, so the identity channel must return the same bits,
+    # up to the largest map that can be built
     rng = np.random.default_rng(3)
-    for n in range(1, 9):
+    for n in range(1, MATRIX_QUBIT_CAP + 1):
         a = rng.integers(-9, 10, size=(2**n, 2**n)) + 1j * rng.integers(-9, 10, size=(2**n, 2**n))
         m = a + a.conj().T
         assert np.array_equal(_pauli_map(n, [(1.0, identity(n))])(m), m), n

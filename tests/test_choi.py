@@ -147,7 +147,7 @@ def test_certificate_validation(monkeypatch):
     wide = PauliChannel([(1.0, "I" * n)])
     with pytest.raises(ValueError, match="refusing a dense 7-qubit Choi matrix"):
         choi_state(wide)
-    with pytest.raises(ValueError, match="refusing a dense 7-qubit Choi matrix"):
+    with pytest.raises(ValueError, match="refusing a dense 7-qubit certificate column matrix"):
         theorem1_check(wide, wide, DensityMatrix.maximally_mixed(2**n), 2)
     # accepted at the cap: certify runs, and choi_state gets as far as its first term
     # (the 256 MiB state is only reserved, never filled)

@@ -423,6 +423,8 @@ def test_bad_chain_is_refused_before_encoding(tmp_path, capsys, monkeypatch):
          "--step-method", "exact_exponential"],
         ["--target", wide, "--noise", wide, "--n-sites", str(n), "--initial", "1" + "0" * (n - 1)],
         ["--config", auto],
+        ["--initial", "1x"],
+        ["--n-steps", "-1"],
     ):
         calls.clear()
         code = main(["benchmark", *argv, "--out", str(out)])
@@ -590,7 +592,7 @@ def test_certify_at_any_finite_p(files, p):
 
 
 def test_oversized_dense_states_exit_one(tmp_path, capsys):
-    # refused before any 2**n x 2**n state or 4**n x 4**n Choi matrix is built
+    # refused before any 2**n x 2**n state or certify's 4**n x T column matrix is built
     n = MATRIX_QUBIT_CAP + 1
     small = _write(tmp_path, "small.json", BENCH_NOISE)
     big = _write(tmp_path, "big.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})

@@ -267,6 +267,26 @@ def test_benchmark_fixed_encoder_and_errors():
         run_benchmark(BenchmarkConfig(target=cfg.target, noise=cfg.noise, initial="101"))
 
 
+def test_benchmark_composes_one_step_for_both_runs(monkeypatch):
+    import noisim.dynamics
+
+    evolve, seen = noisim.dynamics.evolve_occupations, []
+
+    def recorded(initial, unitaries, channel, n_steps):
+        seen.append(unitaries)
+        return evolve(initial, unitaries, channel, n_steps)
+
+    monkeypatch.setattr(noisim.dynamics, "evolve_occupations", recorded)
+    run_benchmark(BenchmarkConfig(
+        target=default_target_channel(), noise=default_noise_channel(), n_steps=3
+    ))
+    # both runs get the one product of the three factors, the first factor rightmost
+    onsite, odd, even = trotter_step_unitaries(2, 1.0, 0.5, 0.05)
+    (step,), (again,) = seen
+    assert again is step
+    assert np.array_equal(step, even @ odd @ onsite)
+
+
 def test_channel_map_is_built_once_per_call(monkeypatch):
     # the Hadamard factors come from _parity_signs when a map is made; a
     # longer run must apply the same map, not build more of them
