@@ -7,6 +7,7 @@ converge (or over-encoded), 3 invariant or certificate violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Mapping, NoReturn, Sequence
 
@@ -249,9 +250,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# one parser per process: parsing leaves no state on it, and building it costs
+# about as much as a small command
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -1,11 +1,12 @@
 """Iterative encoding of a target Pauli channel onto intrinsic noise.
 
 One loop, two node rules. The loop keeps a residue ledger: the mass of
-each target string still unaccounted for. Each iteration scans the ledger
-once for the worst (largest) non-identity residue and stops when it is at
-most tol. Otherwise it picks a node string and a mass m, schedules the
-node (conjugation with probability m), and lets the hardware noise dress
-it, which moves mass m * w(Q) onto (Q * node) for every noise term Q. So
+each target string still unaccounted for. Each iteration reads the worst
+(largest) non-identity residue off the top of a lazy max-heap and stops
+when it is at most tol. Otherwise it picks a node string and a mass m,
+schedules the node (conjugation with probability m), and lets the hardware
+noise dress it, which moves mass m * w(Q) onto (Q * node) for every noise
+term Q. So
 
     fsum(residues) + encoded_mass == 1
 
@@ -17,6 +18,14 @@ The identity string is exempt from targeting and from the convergence
 test: identity mass is realized for free by doing nothing, so its ledger
 entry only participates in conservation and in the adaptive mass budget.
 
+Residues only go down (masses are positive, noise weights nonnegative), so
+the heap holds one entry (-residue, text, string) per value a non-identity
+string has taken; an entry whose residue the ledger no longer holds is
+stale and dropped when it reaches the top. The top is then the worst
+residue, ties going to the smallest text. A step pushes one entry per
+image it changes and records only those ledger entries, so an iteration
+costs O(images * log ledger), not O(ledger).
+
 The fixed rule reuses a single node and takes the largest non-identity
 residue among the node's images as the scheduled mass. When the noise
 weights do not match the target ratios this deliberately overshoots and
@@ -27,8 +36,9 @@ remaining budget.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -66,14 +76,53 @@ class OverEncodedError(ValueError):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EncodingStep:
-    """One scheduled node, with the residue ledger after applying it."""
+    """One scheduled node, with the residue ledger after applying it.
+
+    A step stores only the ledger entries it changed, `changes`, and links
+    to the step before it, `previous`. `residues` replays the chain into the
+    whole ledger, in the ledger's insertion order. A step without a
+    predecessor holds its whole ledger, so `EncodingStep(i, node, mass,
+    residues)` builds a step whose `residues` is that snapshot. Steps are
+    equal when their iteration, node, mass and residues are.
+    """
 
     iteration: int
     node: PauliString
     mass: float
-    residues: tuple[tuple[PauliString, float], ...]
+    changes: tuple[tuple[PauliString, float], ...]
+    previous: EncodingStep | None = field(default=None, repr=False)
+
+    @property
+    def residues(self) -> tuple[tuple[PauliString, float], ...]:
+        if self.previous is None:
+            return self.changes
+        chain = []
+        step: EncodingStep | None = self
+        while step is not None:
+            chain.append(step.changes)
+            step = step.previous
+        ledger: dict[PauliString, float] = {}
+        for changes in reversed(chain):
+            ledger.update(changes)
+        return tuple(ledger.items())
+
+    def _key(self) -> tuple:
+        return self.iteration, self.node, self.mass, self.residues
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EncodingStep):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        # copied or pickled as a standalone step: following `previous` would
+        # recurse once per earlier step
+        return EncodingStep, (self.iteration, self.node, self.mass, self.residues)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,12 +183,6 @@ def _worst(ledger: Mapping[PauliString, float]) -> float:
     return max((r for s, r in ledger.items() if not s.is_identity()), default=0.0)
 
 
-def _tie_break(ledger: Mapping[PauliString, float], worst: float) -> PauliString:
-    # the non-identity string whose residue is `worst`, ties to the smallest text
-    return min((s for s, r in ledger.items() if r == worst and not s.is_identity()),
-               key=lambda s: s.text)
-
-
 def _images(noise: PauliChannel, node: PauliString) -> list[tuple[float, PauliString]]:
     """(w(Q), Q * node) for every noise term Q, in the noise's term order."""
     return [(w, multiply(q, node).string) for w, q in noise.terms]
@@ -180,10 +223,15 @@ def encode(
         raise ValueError(f"unknown encoder mode {mode!r}")
 
     ledger = {s: w for w, s in target.terms}
+    heap = [(-r, s.text, s) for s, r in ledger.items() if not s.is_identity()]
+    heapq.heapify(heap)
     masses: list[float] = []
     steps: list[EncodingStep] = []
+    step = None
     while True:
-        worst = _worst(ledger)
+        while heap and ledger[heap[0][2]] != -heap[0][0]:
+            heapq.heappop(heap)  # stale: the string's residue has gone down since
+        worst = -heap[0][0] if heap else 0.0
         if worst <= tol:
             reason = STOP_ALL_WITHIN_TOL
             break
@@ -194,7 +242,7 @@ def encode(
             mass = max((ledger.get(s, 0.0) for s in images), default=0.0)
         else:
             # worst > tol >= 0, so some residue is pending and Q* maps the node onto it
-            node = multiply(q_star, _tie_break(ledger, worst)).string
+            node = multiply(q_star, heap[0][2]).string
             table = _images(noise, node)
             budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
             mass = min(worst / w_star, budget)
@@ -202,9 +250,17 @@ def encode(
             reason = STOP_STALLED
             break
         masses.append(mass)
+        changes = []
         for w, image in table:
-            ledger[image] = ledger.get(image, 0.0) - mass * w
-        steps.append(EncodingStep(len(steps), node, mass, tuple(ledger.items())))
+            old = ledger.get(image)
+            r = ledger[image] = (0.0 if old is None else old) - mass * w
+            changes.append((image, r))
+            # an unchanged residue keeps its entry; a second equal one would compare strings
+            if r != old and not image.is_identity():
+                heapq.heappush(heap, (-r, image.text, image))
+        step = EncodingStep(len(steps), node, mass,
+                            tuple(changes) if step is not None else tuple(ledger.items()), step)
+        steps.append(step)
 
     return EncodingResult(
         mode=mode,

@@ -38,7 +38,10 @@ _NIBBLE_TEXT = tuple(
     "".join(_LETTERS[(i >> b & 1) + 2 * (i >> (b + 4) & 1)] for b in range(4))
     for i in range(256)
 )
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_LETTER_SET = frozenset(_LETTERS)
+# each letter's x (z) bit as a binary digit
+_X_DIGITS = str.maketrans(_LETTERS, "0101")
+_Z_DIGITS = str.maketrans(_LETTERS, "0011")
 
 # Dense states and step unitaries above this size are refused; memory grows as 4**n.
 MATRIX_QUBIT_CAP = 10
@@ -129,18 +132,14 @@ def parse(text: str) -> PauliString:
     """
     if not text:
         raise PauliParseError("empty Pauli string")
-    x_mask = 0
-    z_mask = 0
-    for pos, ch in enumerate(text, start=1):
-        bits = _LETTER_BITS.get(ch)
-        if bits is None:
-            raise PauliParseError(
-                f"invalid letter {ch!r} at position {pos} of {text!r}"
-            )
-        x, z = bits
-        x_mask |= x << (pos - 1)
-        z_mask |= z << (pos - 1)
-    return PauliString(len(text), x_mask, z_mask)
+    if not _LETTER_SET.issuperset(text):
+        pos, ch = next((pos, ch) for pos, ch in enumerate(text, start=1) if ch not in _LETTER_SET)
+        raise PauliParseError(f"invalid letter {ch!r} at position {pos} of {text!r}")
+    # qubit 1 is the lowest mask bit, so the mask's binary digits run last letter first
+    digits = text[::-1]
+    return PauliString(
+        len(text), int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+    )
 
 
 def multiply(a: PauliString, b: PauliString) -> PhasedPauli:

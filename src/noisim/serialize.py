@@ -39,7 +39,7 @@ from .channels import PauliChannel
 from .choi import CertificateReport
 from .clusters import Cluster
 from .dynamics import BenchmarkResult
-from .encoder import EncodingResult
+from .encoder import EncodingResult, EncodingStep
 from .sampling import SampleReport
 
 __all__ = [
@@ -253,6 +253,22 @@ def load_channel(path: str | os.PathLike) -> PauliChannel:
     return channel_from_dict(data)
 
 
+def _snapshots(steps: Iterable[EncodingStep]) -> Iterator[dict[str, float]]:
+    """Each step's ledger keyed by text, from one running ledger that takes
+    each step's changes; a step not chained onto the one before replays."""
+    ledger: dict[str, float] = {}
+    before = None
+    for step in steps:
+        if step.previous is before:
+            changes = step.changes
+        else:
+            ledger = {}
+            changes = step.residues
+        ledger.update((p.text, r) for p, r in changes)
+        yield dict(ledger)
+        before = step
+
+
 def encoding_to_dict(result: EncodingResult) -> dict:
     return {
         "mode": result.mode,
@@ -263,13 +279,8 @@ def encoding_to_dict(result: EncodingResult) -> dict:
         "max_residue": result.max_residue,
         "min_residue": result.min_residue,
         "steps": [
-            {
-                "iteration": s.iteration,
-                "node": s.node.text,
-                "mass": s.mass,
-                "residues": {p.text: r for p, r in s.residues},
-            }
-            for s in result.steps
+            {"iteration": s.iteration, "node": s.node.text, "mass": s.mass, "residues": snapshot}
+            for s, snapshot in zip(result.steps, _snapshots(result.steps))
         ],
         "residues": {s.text: r for s, r in result.residues.items()},
         "target": channel_to_dict(result.target),
@@ -280,7 +291,7 @@ def encoding_to_dict(result: EncodingResult) -> dict:
 def cluster_to_dict(cluster: Cluster) -> dict:
     return {
         "node": cluster.node.text,
-        "members": sorted(s.text for s in cluster.members),
+        "members": list(cluster.member_texts),
         "branching_dimension": cluster.branching_dimension,
         "cluster_dimension": cluster.cluster_dimension,
         "all_to_all": cluster.all_to_all,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from noisim import cli
 from noisim.choi import CHOI_QUBIT_CAP, CertificateCheck, CertificateReport
 from noisim.cli import (
     _BENCH_SETTINGS,
@@ -66,6 +67,23 @@ def test_encode_adaptive_success(files):
     assert data["iterations"] == 2
     eff_data = json.loads(eff.read_text())
     assert sum(t["weight"] for t in eff_data["terms"]) == pytest.approx(1.0)
+
+
+def test_main_calls_share_a_parser_but_no_state(files):
+    # a fixed encode with its own mode, node and tol, then a default encode:
+    # each must write the bytes it writes when it is the process's only command
+    enc = ["encode", "--target", files["target"], "--noise", files["noise"]]
+    fixed = enc + ["--mode", "fixed", "--node", "XZ", "--tol", "0.1"]
+    out = files["dir"]
+    main(fixed + ["--out", str(out / "fixed-shared.json")])
+    main(enc + ["--out", str(out / "default-shared.json")])
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    for name, argv in (("fixed", fixed), ("default", enc)):
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        main(argv + ["--out", str(out / f"{name}-alone.json")])
+        assert (out / f"{name}-shared.json").read_bytes() == (out / f"{name}-alone.json").read_bytes()
+    assert (out / "fixed-alone.json").read_bytes() != (out / "default-alone.json").read_bytes()
 
 
 def test_encode_fixed_requires_node(files):

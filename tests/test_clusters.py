@@ -86,3 +86,29 @@ def test_orbit_matches_bfs_oracle(case):
     assert cluster.cluster_dimension == len(expected)
     images = {multiply(g, node).string for g in generators} - {node, identity(node.n_qubits)}
     assert cluster.branching_dimension == len(images)
+
+
+@st.composite
+def wide_orbit_cases(draw):
+    """A node and up to 8 generators on 1-40 qubits, so that the packed
+    x | z << n can pass 64 bits. The generators repeat a pool of up to 5
+    strings and the identity; none, or only identities, give rank 0."""
+    n = draw(st.integers(1, 40))
+    strings = st.builds(
+        lambda x, z: PauliString(n, x, z), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)
+    )
+    node = draw(strings)
+    pool = draw(st.lists(strings, max_size=5))
+    generators = draw(st.lists(st.sampled_from([identity(n), *pool]), max_size=8))
+    return node, generators
+
+
+@given(wide_orbit_cases())
+@settings(max_examples=200, deadline=None)
+def test_member_texts_spell_the_sorted_orbit(case):
+    node, generators = case
+    cluster = analyze_cluster(node, generators)
+    expected = orbit_bfs(node, generators)
+    assert list(cluster.member_texts) == sorted(s.text for s in expected)
+    assert list(cluster.member_texts) == sorted(s.text for s in cluster.members)
+    assert cluster.members == expected

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,8 +23,8 @@ from noisim.encoder import (
     encode_fixed,
 )
 from noisim import encoder
-from noisim.encoder import _tie_break
 from noisim.pauli import multiply, parse
+from noisim.serialize import encoding_to_dict
 
 from helpers import all_texts, random_channel_terms, scanning_encode
 
@@ -83,14 +85,10 @@ def test_adaptive_breaks_exact_ties_by_text():
     result = encode_adaptive(target, noise, tol=1e-6)
     assert result.steps[0].node == q_star_iy
     assert result.steps[0].mass == 0.2 / 0.7
-    # encode's ledger starts from the text-sorted target terms, and strings it
-    # adds later only go down, so its pending ties are always in text order;
-    # the tie-break must give the same string for a ledger in another order,
-    # and never the identity, even when its residue ties and sorts first
-    ledger = {parse(t): r for t, r in (("ZX", 0.2), ("II", 0.2), ("XZ", 0.2),
-                                        ("YY", -0.1), ("IY", 0.2), ("XI", 0.1))}
-    assert _tie_break(ledger, 0.2) == parse("IY")
-    assert multiply(parse("XX"), _tie_break(ledger, 0.2)).string == q_star_iy
+    # the tie-break never picks the identity, even when its residue ties and sorts first
+    target = PauliChannel([(0.2, "II"), (0.2, "ZX"), (0.2, "XZ"), (0.2, "IY"),
+                           (0.1, "XI"), (0.1, "YY")])
+    assert encode_adaptive(target, noise, tol=1e-6).steps[0].node == q_star_iy
 
 
 def test_adaptive_beats_fixed_on_worst_residue():
@@ -300,3 +298,33 @@ def test_encode_matches_scanning_oracle_bit_for_bit(channels, mode):
     got = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
     want = scanning_encode(target, noise, mode, parse(node), tol=0.0, max_iters=40)
     assert _bits(got) == _bits(want)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    tie_heavy_channels(n), tie_heavy_channels(n), st.sampled_from(all_texts(n)[1:]))),
+    st.sampled_from(["fixed", "adaptive"]))
+@settings(max_examples=150, deadline=None)
+def test_steps_store_only_their_changes(channels, mode):
+    target, noise, node = channels
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        # the loop reads the worst residue off its heap, never from a ledger scan
+        patch.setattr(encoder, "_worst", lambda ledger: calls.append(ledger) or 0.0)
+        result = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
+    assert calls == []
+    assert all(len(step.changes) <= len(noise.terms) for step in result.steps[1:])
+    written = encoding_to_dict(result)["steps"]
+    for step, data in zip(result.steps, written, strict=True):
+        assert list(data["residues"].items()) == [(p.text, r) for p, r in step.residues]
+        # a chained step equals the step built from its whole snapshot
+        whole = EncodingStep(step.iteration, step.node, step.mass, step.residues)
+        assert step == whole and hash(step) == hash(whole)
+
+
+def test_a_late_step_copies_and_pickles_as_its_snapshot():
+    node, s = parse("XZ"), parse("IY")
+    step = EncodingStep(0, node, 0.1, ((s, 0.0),))
+    for i in range(1, 3000):
+        step = EncodingStep(i, node, 0.1, ((s, -0.1 * i),), step)
+    for twin in (pickle.loads(pickle.dumps(step)), copy.deepcopy(step), copy.copy(step)):
+        assert twin == step and twin.previous is None

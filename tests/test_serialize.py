@@ -265,6 +265,26 @@ def test_encoding_to_dict_spells_snapshot_strings_absent_from_final_residues():
     assert data["steps"][0]["residues"] == {"ZZ": 0.05, "XZ": 0.0}
     assert data["residues"] == {"II": 0.9, "XZ": 0.0}
 
+
+def test_encoding_to_dict_writes_each_snapshot_of_unchained_steps():
+    # steps built without `previous` each hold their whole ledger, and the
+    # third is chained onto the first, not onto the step before it
+    first = EncodingStep(0, parse("XZ"), 0.1, ((parse("ZZ"), 0.05), (parse("XZ"), 0.0)))
+    second = EncodingStep(1, parse("XZ"), 0.1, ((parse("XZ"), -0.1),))
+    third = EncodingStep(2, parse("XZ"), 0.1, ((parse("IY"), 0.2),), first)
+    result = EncodingResult(
+        mode="fixed",
+        target=PauliChannel([(0.9, "II"), (0.1, "XZ")]),
+        noise=PauliChannel([(0.5, "II"), (0.5, "XX")]),
+        steps=(first, second, third),
+        residues={parse("II"): 0.6, parse("XZ"): -0.1},
+        encoded_mass=0.3,
+        stop_reason=STOP_ALL_WITHIN_TOL,
+    )
+    snapshots = [s["residues"] for s in encoding_to_dict(result)["steps"]]
+    assert snapshots == [{"ZZ": 0.05, "XZ": 0.0}, {"XZ": -0.1}, {"ZZ": 0.05, "XZ": 0.0, "IY": 0.2}]
+    assert [{p.text: r for p, r in s.residues} for s in result.steps] == snapshots
+
 def test_cluster_and_certificate_dicts():
     cluster = cluster_to_dict(analyze_cluster("YI", ["XX", "ZZ"]))
     assert cluster["members"] == ["IY", "XZ", "YI", "ZX"]
