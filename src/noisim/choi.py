@@ -26,6 +26,21 @@ two supports. Since (I x rho^T) vec(P) = vec(P rho), the weighted operator
 is B V^dag, where V has the columns v_P and B the columns
 Dw_P vec(P rho) / sqrt(d). V is an isometry, so B V^dag and the d**2 x T
 matrix B have the same singular values.
+
+The two states the CLI can name need neither B nor any array of size d:
+
+* A basis state |b><b|. P |b><b| P = |b ^ x_P><b ^ x_P|, so DE(rho) is
+  diagonal, with the sum of Dw_P over the strings of X mask x at b ^ x.
+  The columns of B with one X mask share the support vec(|b ^ x><b|), so
+  B has one singular value per X mask, ||Dw over x_P = x||_2 / sqrt(d).
+  S_p is 0.
+* The maximally mixed state I/d. DE(I/d) = (sum Dw) I/d, so its p-norm is
+  |sum Dw| / d * d**(1/p). The columns Dw_P vec(P) / d**1.5 of B are
+  orthogonal with norms |Dw_P| / d, so the weighted distance is
+  ||Dw||_p / d. S_p is n ln 2.
+
+Both forms read only Dw, so they hold at any size whose d**2 = 4**n is a
+finite float: up to CERTIFY_QUBIT_CAP = 511 qubits.
 """
 
 from __future__ import annotations
@@ -36,9 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _pauli_map
-from .pauli import _check_dense_size, monomial
+from .pauli import PauliString, _check_dense_size, monomial
 
 __all__ = [
+    "CERTIFY_QUBIT_CAP",
     "CHOI_QUBIT_CAP",
     "CertificateCheck",
     "CertificateReport",
@@ -50,8 +66,10 @@ __all__ = [
 ]
 
 # Larger channels are refused: a Choi state is a dense 4**n x 4**n matrix, and
-# the certificate's column matrix B is 4**n x T.
+# the certificate's column matrix B of a general dense state is 4**n x T.
 CHOI_QUBIT_CAP = 6
+# Larger channels are refused by every certificate: d**2 = 4**n overflows a float.
+CERTIFY_QUBIT_CAP = 511
 
 # multiplicative plus absolute slack applied to every certified bound
 _REL_SLACK = 1e-9
@@ -152,36 +170,60 @@ class CertificateReport:
 def theorem1_check(
     channel_a: PauliChannel,
     channel_b: PauliChannel,
-    rho: DensityMatrix,
+    state: DensityMatrix | str,
     p: float,
 ) -> CertificateReport:
     """Evaluate the certificate chain for a pair of channels on a state.
+
+    `state` is a basis label such as "0110", "mixed" for I/d, or a
+    DensityMatrix. A label, "mixed", and a DensityMatrix that is exactly a
+    basis projector or exactly I/d take the closed forms of the module
+    docstring; any other DensityMatrix takes the d**2 x T column matrix B,
+    refused above CHOI_QUBIT_CAP qubits.
 
     Every reported check must hold mathematically; `satisfied` only fails
     on a genuine violation beyond rounding slack.
     """
     if not p >= 1:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
-    da, db = 2**channel_a.n_qubits, 2**channel_b.n_qubits
-    if da != db or da != rho.dim:
-        raise ValueError(f"dimension mismatch: channels {da}/{db}, state {rho.dim}")
-    d = da
-    _check_dense_size(channel_a.n_qubits, "certificate column matrix", CHOI_QUBIT_CAP)
+    n = channel_a.n_qubits
+    if channel_b.n_qubits != n:
+        raise ValueError(f"channels act on {n} and {channel_b.n_qubits} qubits")
+    if n > CERTIFY_QUBIT_CAP:
+        raise ValueError(
+            f"refusing a {n}-qubit certificate: d**2 = 4**{n} overflows a float "
+            f"(cap {CERTIFY_QUBIT_CAP})"
+        )
+    d = 2**n
+    if isinstance(state, DensityMatrix):
+        if state.dim != d:
+            raise ValueError(f"dimension mismatch: channels {d}, state {state.dim}")
+        state = _closed_form_state(state)
+    elif state != "mixed":
+        if not state or set(state) - {"0", "1"}:
+            raise ValueError(f"basis label must be a bitstring, got {state!r}")
+        if len(state) != n:
+            raise ValueError(
+                f"basis label {state!r} has {len(state)} qubits, but the channels act on {n}"
+            )
 
     weights_b = {s: w for w, s in channel_b.terms}
     delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}
     delta_w.update((s, -w) for s, w in weights_b.items())
-    # E_a - E_b is the Pauli map with weights Dw, applied once
-    delta_out = _pauli_map(channel_a.n_qubits, ((dw, s) for s, dw in delta_w.items()))(rho.matrix)
-    # column P of B is Dw_P vec(P rho) / sqrt(d), vec stacking rows
-    columns = np.empty((d * d, len(delta_w)), dtype=complex)
-    for k, (s, dw) in enumerate(delta_w.items()):
-        cols, phases = monomial(s)
-        columns[:, k] = (dw / math.sqrt(d)) * (phases[:, None] * rho.matrix[cols]).reshape(-1)
-
-    out_dist = schatten_norm(delta_out, p)
-    choi_dist = _p_norm(np.fromiter(delta_w.values(), dtype=float), p)
-    weighted_dist = schatten_norm(columns, p)
+    choi_dist = _p_norm(np.fromiter(delta_w.values(), dtype=float, count=len(delta_w)), p)
+    # the closed forms of the module docstring; the dense path only for other states
+    if state == "mixed":
+        out_dist = abs(math.fsum(delta_w.values())) / d * d ** (1.0 / p)
+        weighted_dist = choi_dist / d
+    elif isinstance(state, str):
+        # b itself drops out: only which strings share an X mask matters
+        by_x: dict[int, list[float]] = {}
+        for s, dw in delta_w.items():
+            by_x.setdefault(s.x_mask, []).append(dw)
+        out_dist = _p_norm(np.array([math.fsum(g) for g in by_x.values()]), p)
+        weighted_dist = _p_norm(np.array([math.hypot(*g) for g in by_x.values()]), p) / math.sqrt(d)
+    else:
+        out_dist, weighted_dist = _dense_distances(n, delta_w, state, p)
 
     checks = [
         CertificateCheck("output_vs_choi", out_dist, d * d * choi_dist)
@@ -189,7 +231,10 @@ def theorem1_check(
     if math.isinf(p):
         renyi: float | None = None
     else:
-        renyi = renyi_entropy(rho, p)
+        if isinstance(state, DensityMatrix):
+            renyi = renyi_entropy(state, p)
+        else:
+            renyi = math.log(d) if state == "mixed" else 0.0
         # (1/p - 1) * S rather than (1 - p) * S / p, which overflows at large p
         entropy_bound = d ** (1.0 / p) * math.exp((1.0 / p - 1.0) * renyi) * choi_dist
         checks.append(CertificateCheck("weighted_vs_entropy", weighted_dist, entropy_bound))
@@ -210,3 +255,33 @@ def theorem1_check(
         renyi=renyi,
         checks=tuple(checks),
     )
+
+
+def _closed_form_state(rho: DensityMatrix) -> DensityMatrix | str:
+    """"mixed" if rho is exactly I/d, the label of an exact basis projector, else
+    rho itself; one pass over the d**2 entries."""
+    m, d = rho.matrix, rho.dim
+    diag = m.diagonal()
+    nonzero = np.count_nonzero(m)
+    if nonzero == d and (diag == 1.0 / d).all():
+        return "mixed"
+    k = int(diag.real.argmax())
+    if nonzero == 1 and diag[k] == 1.0:
+        return format(k, f"0{rho.n_qubits}b")
+    return rho
+
+
+def _dense_distances(
+    n_qubits: int, delta_w: dict[PauliString, float], rho: DensityMatrix, p: float
+) -> tuple[float, float]:
+    """||DE(rho)||_p and the Schatten norm of the d**2 x T column matrix B."""
+    _check_dense_size(n_qubits, "certificate column matrix", CHOI_QUBIT_CAP)
+    d = rho.dim
+    # E_a - E_b is the Pauli map with weights Dw, applied once
+    delta_out = _pauli_map(n_qubits, ((dw, s) for s, dw in delta_w.items()))(rho.matrix)
+    # column P of B is Dw_P vec(P rho) / sqrt(d), vec stacking rows
+    columns = np.empty((d * d, len(delta_w)), dtype=complex)
+    for k, (s, dw) in enumerate(delta_w.items()):
+        cols, phases = monomial(s)
+        columns[:, k] = (dw / math.sqrt(d)) * (phases[:, None] * rho.matrix[cols]).reshape(-1)
+    return schatten_norm(delta_out, p), schatten_norm(columns, p)

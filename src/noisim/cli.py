@@ -11,7 +11,6 @@ import functools
 import sys
 from typing import Any, Mapping, NoReturn, Sequence
 
-from .channels import DensityMatrix
 from .choi import theorem1_check
 from .clusters import analyze_cluster
 from .dynamics import BenchmarkConfig, default_noise_channel, default_target_channel, run_benchmark
@@ -167,11 +166,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     channel_a = load_channel(args.channel_a)
     channel_b = load_channel(args.channel_b)
-    if args.state == "mixed":
-        rho = DensityMatrix.maximally_mixed(2**channel_a.n_qubits)
-    else:
-        rho = DensityMatrix.from_basis_label(args.state)
-    report = theorem1_check(channel_a, channel_b, rho, args.p)
+    report = theorem1_check(channel_a, channel_b, args.state, args.p)
     write_json(certificate_to_dict(report), args.out)
     print(
         f"certificate at p={args.p}: output distance {report.output_distance:.6g}, "

@@ -183,6 +183,26 @@ def _worst(ledger: Mapping[PauliString, float]) -> float:
     return max((r for s, r in ledger.items() if not s.is_identity()), default=0.0)
 
 
+def _add_exactly(partials: list[float], x: float) -> None:
+    """Add x to a running sum kept as Shewchuk's nonoverlapping partials.
+
+    The partials sum exactly to every x added so far, so their fsum equals
+    the fsum of those values bit for bit, in O(len(partials)) per call; the
+    partials never number more than about 40 (one per 53 bits of exponent range).
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def _images(noise: PauliChannel, node: PauliString) -> list[tuple[float, PauliString]]:
     """(w(Q), Q * node) for every noise term Q, in the noise's term order."""
     return [(w, multiply(q, node).string) for w, q in noise.terms]
@@ -225,7 +245,7 @@ def encode(
     ledger = {s: w for w, s in target.terms}
     heap = [(-r, s.text, s) for s, r in ledger.items() if not s.is_identity()]
     heapq.heapify(heap)
-    masses: list[float] = []
+    mass_partials: list[float] = []  # fsum(mass_partials) == fsum of the masses so far
     steps: list[EncodingStep] = []
     step = None
     while True:
@@ -244,12 +264,12 @@ def encode(
             # worst > tol >= 0, so some residue is pending and Q* maps the node onto it
             node = multiply(q_star, heap[0][2]).string
             table = _images(noise, node)
-            budget = 1.0 - math.fsum(masses) - max(ledger.get(id_string, 0.0), 0.0)
+            budget = 1.0 - math.fsum(mass_partials) - max(ledger.get(id_string, 0.0), 0.0)
             mass = min(worst / w_star, budget)
         if mass <= 0.0:
             reason = STOP_STALLED
             break
-        masses.append(mass)
+        _add_exactly(mass_partials, mass)
         changes = []
         for w, image in table:
             old = ledger.get(image)
@@ -268,7 +288,7 @@ def encode(
         noise=noise,
         steps=tuple(steps),
         residues=ledger,
-        encoded_mass=math.fsum(masses),
+        encoded_mass=math.fsum(mass_partials),
         stop_reason=reason,
     )
 

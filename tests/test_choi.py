@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from noisim.channels import DensityMatrix, PauliChannel
 from noisim.choi import (
+    CERTIFY_QUBIT_CAP,
     CHOI_QUBIT_CAP,
     apply_from_choi,
     choi_state,
@@ -16,6 +17,7 @@ from noisim.choi import (
     schatten_norm,
     theorem1_check,
 )
+from noisim.serialize import certificate_to_dict
 
 from helpers import (
     all_texts,
@@ -134,6 +136,13 @@ def _stop(*args):
     raise _Stop
 
 
+def _two_level_state(n_qubits):
+    """diag(0.75, 0.25, 0, ...): a dense state with no closed-form certificate."""
+    diag = np.zeros(2**n_qubits)
+    diag[:2] = 0.75, 0.25
+    return DensityMatrix(np.diag(diag))
+
+
 def test_certificate_validation(monkeypatch):
     rho = DensityMatrix.maximally_mixed(2)
     for p in (0.5, math.nan):
@@ -147,13 +156,13 @@ def test_certificate_validation(monkeypatch):
     wide = PauliChannel([(1.0, "I" * n)])
     with pytest.raises(ValueError, match="refusing a dense 7-qubit Choi matrix"):
         choi_state(wide)
+    # a state that is neither a basis state nor I/d takes the column matrix
     with pytest.raises(ValueError, match="refusing a dense 7-qubit certificate column matrix"):
-        theorem1_check(wide, wide, DensityMatrix.maximally_mixed(2**n), 2)
+        theorem1_check(wide, wide, _two_level_state(n), 2)
     # accepted at the cap: certify runs, and choi_state gets as far as its first term
     # (the 256 MiB state is only reserved, never filled)
     at_cap = PauliChannel([(1.0, "I" * CHOI_QUBIT_CAP)])
-    mixed = DensityMatrix.maximally_mixed(2**CHOI_QUBIT_CAP)
-    assert theorem1_check(at_cap, at_cap, mixed, 2).satisfied
+    assert theorem1_check(at_cap, at_cap, _two_level_state(CHOI_QUBIT_CAP), 2).satisfied
     with monkeypatch.context() as m:
         m.setattr("noisim.choi.monomial", _stop)
         with pytest.raises(_Stop):
@@ -261,3 +270,121 @@ def test_closed_form_distances_match_dense_choi_states(pair, p):
     assert report.weighted_choi_distance == pytest.approx(
         schatten_norm(weighting @ delta, p), rel=1e-12
     )
+
+
+ORDERS = [1.0, 1.5, 2.0, 3.0, math.inf]
+
+
+def _report_values(report):
+    values = [report.output_distance, report.choi_distance, report.weighted_choi_distance]
+    return values + [v for c in report.checks for v in (c.lhs, c.rhs)]
+
+
+@given(seeds, st.integers(1, 6), st.booleans(), st.sampled_from([0.0, 4e-13]),
+       st.sampled_from(ORDERS))
+@settings(max_examples=150, deadline=None)
+def test_closed_forms_match_the_column_matrix(seed, n, mixed, skew, p):
+    rng = np.random.default_rng(seed)
+    # a skew keeps each weight sum within 1e-12 of 1 but makes sum(Dw) about 8e-13,
+    # so that mixed's output distance is more than rounding noise
+    a = PauliChannel((w * (1 + skew), t) for w, t in random_channel_terms(rng, n, max_terms=12))
+    b = PauliChannel((w * (1 - skew), t) for w, t in random_channel_terms(rng, n, max_terms=12))
+    label = "".join(rng.choice(["0", "1"], size=n))
+    rho = DensityMatrix.maximally_mixed(2**n) if mixed else DensityMatrix.from_basis_label(label)
+    closed = theorem1_check(a, b, "mixed" if mixed else label, p)
+    with pytest.MonkeyPatch.context() as m:
+        # the same state, sent down the d**2 x T path
+        m.setattr("noisim.choi._closed_form_state", lambda rho: rho)
+        dense = theorem1_check(a, b, rho, p)
+    assert closed.satisfied and dense.satisfied
+    assert closed.dim == dense.dim and [c.name for c in closed.checks] == [
+        c.name for c in dense.checks
+    ]
+    if dense.renyi is None:
+        assert closed.renyi is None
+    else:
+        assert closed.renyi == pytest.approx(dense.renyi, rel=1e-12, abs=1e-15)
+    assert closed.choi_distance == dense.choi_distance
+    assert closed.weighted_choi_distance == pytest.approx(dense.weighted_choi_distance, rel=1e-12)
+    # without a skew sum(Dw) is a difference of two sums that are each 1, so mixed's
+    # output distance (and a basis state's, when one X mask holds every string) is
+    # rounding noise near 1e-16 on both paths; hence its absolute floor
+    near_zero = {"abs": 1e-15}
+    assert closed.output_distance == pytest.approx(dense.output_distance, rel=1e-12, **near_zero)
+    for got, want in zip(closed.checks, dense.checks):
+        floor = near_zero if got.name.startswith("output") else {}
+        assert got.lhs == pytest.approx(want.lhs, rel=1e-12, **floor), (got, want)
+        assert got.rhs == pytest.approx(want.rhs, rel=1e-12), (got, want)
+
+
+@given(seeds, st.integers(1, 6), st.sampled_from(ORDERS))
+@settings(max_examples=60, deadline=None)
+def test_labels_and_their_density_matrices_give_one_report(seed, n, p):
+    rng = np.random.default_rng(seed)
+    a = PauliChannel(random_channel_terms(rng, n, max_terms=12))
+    b = PauliChannel(random_channel_terms(rng, n, max_terms=12))
+    label = "".join(rng.choice(["0", "1"], size=n))
+    pairs = [
+        (label, DensityMatrix.from_basis_label(label)),
+        ("mixed", DensityMatrix.maximally_mixed(2**n)),
+    ]
+    for named, dense in pairs:
+        by_name, by_matrix = theorem1_check(a, b, named, p), theorem1_check(a, b, dense, p)
+        assert repr(by_name) == repr(by_matrix), named
+        assert certificate_to_dict(by_name) == certificate_to_dict(by_matrix)
+
+
+def test_only_exact_basis_and_mixed_states_take_the_closed_forms(monkeypatch):
+    calls = []
+    monkeypatch.setattr("noisim.choi._dense_distances", lambda *args: calls.append(1) or (0.0, 0.0))
+    a = PauliChannel([(0.9, "II"), (0.1, "XZ")])
+    b = PauliChannel([(0.8, "II"), (0.2, "YI")])
+    projector = np.zeros((4, 4))
+    projector[2, 2] = 1.0
+    closed = [DensityMatrix(projector), DensityMatrix(np.eye(4) / 4)]
+    for rho in closed:
+        theorem1_check(a, b, rho, 2)
+    assert calls == []
+    near_mixed = np.eye(4) / 4
+    near_mixed[0, 1] = near_mixed[1, 0] = 1e-12
+    near_basis = projector.copy()
+    near_basis[2, 2], near_basis[0, 0] = 1.0 - 1e-12, 1e-12
+    for matrix in (near_mixed, near_basis, _two_level_state(2).matrix):
+        theorem1_check(a, b, DensityMatrix(matrix), 2)
+    assert len(calls) == 3
+    # the closed forms read no matrix, and the projector's label is its index
+    assert repr(theorem1_check(a, b, closed[0], 3)) == repr(theorem1_check(a, b, "10", 3))
+
+
+def test_mixed_state_entropy_is_n_ln_2():
+    for n in (1, 5, 16, CERTIFY_QUBIT_CAP):
+        channel = PauliChannel([(1.0, "I" * n)])
+        assert theorem1_check(channel, channel, "mixed", 2).renyi == math.log(2**n)
+
+
+def test_labels_must_fit_the_channels():
+    channel = PauliChannel([(0.9, "III"), (0.1, "XYZ")])
+    for label, message in (
+        ("01", "basis label '01' has 2 qubits, but the channels act on 3"),
+        ("0101", "has 4 qubits, but the channels act on 3"),
+        ("", "must be a bitstring"),
+        ("01a", "must be a bitstring"),
+        ("Mixed", "must be a bitstring"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            theorem1_check(channel, channel, label, 2)
+
+
+def test_certificates_above_the_float_cap_are_refused():
+    # 4**512 is no finite float; one all-identity term builds nothing large
+    wide = PauliChannel([(1.0, "I" * (CERTIFY_QUBIT_CAP + 1))])
+    for state in ("mixed", "0" * (CERTIFY_QUBIT_CAP + 1)):
+        with pytest.raises(ValueError, match="refusing a 512-qubit certificate"):
+            theorem1_check(wide, wide, state, 2)
+    at_cap = PauliChannel([(0.5, "I" * CERTIFY_QUBIT_CAP), (0.5, "X" * CERTIFY_QUBIT_CAP)])
+    for p in ORDERS:
+        for state in ("mixed", "1" * CERTIFY_QUBIT_CAP):
+            report = theorem1_check(at_cap, PauliChannel([(1.0, "I" * CERTIFY_QUBIT_CAP)]),
+                                    state, p)
+            assert report.satisfied
+            assert all(math.isfinite(v) for v in _report_values(report)), (p, state)

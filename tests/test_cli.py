@@ -3,12 +3,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from noisim import cli
-from noisim.choi import CHOI_QUBIT_CAP, CertificateCheck, CertificateReport
+from noisim.choi import CERTIFY_QUBIT_CAP, CHOI_QUBIT_CAP, CertificateCheck, CertificateReport
 from noisim.cli import (
     _BENCH_SETTINGS,
     EXIT_INVARIANT,
@@ -299,6 +300,38 @@ def test_certify_builds_no_choi_state(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["choi_distance"] == pytest.approx(
         math.hypot(*delta), rel=1e-12
     )
+
+
+def test_certify_at_the_encoders_sixteen_qubits(tmp_path):
+    # a target over ~540 strings and its noise, as the adaptive encoder sees them
+    rng = np.random.default_rng(16)
+    n = 16
+
+    def random_weights(k, identity):
+        texts = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(k)} - {"I" * n}
+        raw = rng.random(len(texts)) + 1e-3
+        return {"I" * n: identity, **dict(zip(texts, (raw / raw.sum() * (1 - identity)).tolist()))}
+
+    weights = {"target": random_weights(540, 0.5), "noise": random_weights(16, 0.4)}
+    paths = {k: _write(tmp_path, f"{k}.json", {"terms": [
+        {"string": t, "weight": w} for t, w in ws.items()]}) for k, ws in weights.items()}
+    delta = [weights["target"].get(t, 0.0) - weights["noise"].get(t, 0.0)
+             for t in {**weights["target"], **weights["noise"]}]
+    for p in ("1", "2", "inf"):
+        for state in ("mixed", "0110" * 4):
+            out = tmp_path / f"cert-{p}-{state}.json"
+            code = main(["certify", "--channel-a", paths["target"], "--channel-b",
+                         paths["noise"], "--p", p, "--state", state, "--out", str(out)])
+            assert code == EXIT_OK, (p, state)
+            data = json.loads(out.read_text())
+            assert data["dim"] == 2**n and data["satisfied"] is True
+            order = float(p)
+            norm = (max(map(abs, delta)) if math.isinf(order)
+                    else math.fsum(abs(v) ** order for v in delta) ** (1 / order))
+            assert data["choi_distance"] == pytest.approx(norm, rel=1e-12), (p, state)
+            if not math.isinf(order):
+                entropy = n * math.log(2) if state == "mixed" else 0.0
+                assert data["renyi_entropy"] == pytest.approx(entropy, rel=1e-15)
 
 
 def test_certify_accepts_inf(tmp_path):
@@ -610,25 +643,48 @@ def test_certify_at_any_finite_p(files, p):
 
 
 def test_oversized_dense_states_exit_one(tmp_path, capsys):
-    # refused before any 2**n x 2**n state or certify's 4**n x T column matrix is built
+    # refused before any 2**n x 2**n state is built
     n = MATRIX_QUBIT_CAP + 1
-    small = _write(tmp_path, "small.json", BENCH_NOISE)
     big = _write(tmp_path, "big.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})
-    wide = _write(tmp_path, "wide.json",
-                  {"terms": [{"string": "I" * (CHOI_QUBIT_CAP + 1), "weight": 1.0}]})
-    for argv in (
-        ["certify", "--channel-a", small, "--channel-b", small, "--state", "0" * n],
-        ["certify", "--channel-a", big, "--channel-b", big],
-        ["certify", "--channel-a", wide, "--channel-b", wide],
-        ["benchmark", "--target", big, "--noise", big, "--n-sites", str(n),
-         "--initial", "1" + "0" * (n - 1), "--step-method", "trotter"],
-    ):
-        code = main([*argv, "--out", str(tmp_path / "x.out")])
-        assert code == EXIT_USAGE, argv
-        assert "refusing" in capsys.readouterr().err
+    code = main(["benchmark", "--target", big, "--noise", big, "--n-sites", str(n),
+                 "--initial", "1" + "0" * (n - 1), "--step-method", "trotter",
+                 "--out", str(tmp_path / "x.out")])
+    assert code == EXIT_USAGE
+    assert "refusing" in capsys.readouterr().err
+
+
+def test_certify_label_of_another_length_exits_one(tmp_path, capsys):
+    small = _write(tmp_path, "small.json", BENCH_NOISE)
+    label = "0" * (MATRIX_QUBIT_CAP + 1)
+    code = main(["certify", "--channel-a", small, "--channel-b", small, "--state", label,
+                 "--out", str(tmp_path / "x.out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("noisim: ") and err.count("\n") == 1, err
+    assert f"has {len(label)} qubits" in err and "act on 2" in err, err
+
+
+@pytest.mark.parametrize("n", [CHOI_QUBIT_CAP + 1, MATRIX_QUBIT_CAP + 1])
+def test_certify_of_the_mixed_state_has_no_dense_cap(tmp_path, n):
+    weights_a = {"I" * n: 0.9, "X" * n: 0.06, "Z" + "I" * (n - 1): 0.04}
+    weights_b = {"I" * n: 0.8, "X" * n: 0.15, "Y" * n: 0.05}
+    a = _write(tmp_path, "a.json", {"terms": [
+        {"string": t, "weight": w} for t, w in weights_a.items()]})
+    b = _write(tmp_path, "b.json", {"terms": [
+        {"string": t, "weight": w} for t, w in weights_b.items()]})
+    out = tmp_path / "cert.json"
+    code = main(["certify", "--channel-a", a, "--channel-b", b, "--state", "mixed",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    delta = [weights_a.get(t, 0.0) - weights_b.get(t, 0.0) for t in {**weights_a, **weights_b}]
+    data = json.loads(out.read_text())
+    assert data["dim"] == 2**n and data["satisfied"] is True
+    assert data["choi_distance"] == pytest.approx(math.hypot(*delta), rel=1e-12)
 
 
 FAULTS = (None, "weight", "sum", "letter", "length", "missing", "type", "empty", "n_qubits")
+# a well-formed channel too wide for a certificate: a float cannot hold d**2 = 4**512
+WIDE = ({"terms": [{"string": "I" * (CERTIFY_QUBIT_CAP + 1), "weight": 1.0}]}, "wide")
 
 
 @st.composite
@@ -671,19 +727,27 @@ def channel_documents(draw):
 
 
 @given(channel_documents())
+@example(WIDE)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_fuzzed_channel_files_map_to_exit_codes(tmp_path, doc_fault):
+def test_fuzzed_channel_files_map_to_exit_codes(tmp_path, capsys, doc_fault):
     doc, fault = doc_fault
-    path = tmp_path / "channel.json"
-    path.write_text(json.dumps(doc))  # NaN and Infinity become JSON literals
-    code = main([
-        "encode", "--target", str(path), "--noise", str(path),
-        "--out", str(tmp_path / "enc.json"),
-    ])
+    path = str(tmp_path / "channel.json")
+    (tmp_path / "channel.json").write_text(json.dumps(doc))  # NaN and Infinity become JSON literals
+    encode_code = main(["encode", "--target", path, "--noise", path,
+                        "--out", str(tmp_path / "enc.json")])
+    capsys.readouterr()
+    certify_code = main(["certify", "--channel-a", path, "--channel-b", path,
+                         "--out", str(tmp_path / "cert.json")])
+    err = capsys.readouterr().err
     if fault is None:
-        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), doc
-    else:
-        assert code == EXIT_USAGE, (fault, doc)
+        assert encode_code in (EXIT_OK, EXIT_NO_CONVERGENCE), doc
+        assert certify_code == EXIT_OK, doc
+        return
+    assert encode_code == (EXIT_OK if fault == "wide" else EXIT_USAGE), (fault, doc)
+    assert certify_code == EXIT_USAGE, (fault, doc)
+    assert err.startswith("noisim: ") and err.count("\n") == 1, err
+    if fault == "wide":
+        assert "refusing a 512-qubit certificate" in err and "cap 511" in err, err
 
 
 def test_bad_pauli_string_exits_one(files):

@@ -328,3 +328,21 @@ def test_a_late_step_copies_and_pickles_as_its_snapshot():
         step = EncodingStep(i, node, 0.1, ((s, -0.1 * i),), step)
     for twin in (pickle.loads(pickle.dumps(step)), copy.deepcopy(step), copy.copy(step)):
         assert twin == step and twin.previous is None
+
+
+# masses of very different sizes: m * 2**e down to the subnormals, and plain floats
+mixed_magnitudes = st.one_of(
+    st.builds(lambda m, e: m * 2.0**e, st.floats(0.5, 1.0), st.integers(-1074, 0)),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@given(st.lists(mixed_magnitudes, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_running_partials_sum_as_fsum_bit_for_bit(values):
+    partials = []
+    for k, x in enumerate(values, start=1):
+        encoder._add_exactly(partials, x)
+        total = math.fsum(partials)
+        assert total == math.fsum(values[:k]), (k, values[:k], partials)
+        assert math.copysign(1.0, total) == math.copysign(1.0, math.fsum(values[:k]))
