@@ -12,13 +12,21 @@ run holds its occupation arrays, not a dict per row.
 
 JSON is written by one emitter whose output equals
 json.dumps(indent=2, sort_keys=True). It streams into the temp file: a
-container of floats joins memoized texts, any other container of scalars
-is one call of json's C encoder, and a container of containers writes its
-items as it goes, so the document is never held as one string. json spells
-every scalar the memos do not hold. Float and quoted-key texts are memoized
-per document, since an encoding's snapshots repeat the same ledger strings
-and mostly the same values step after step. Zeros are not memoized:
+container of floats, or of floats and strs, joins memoized texts, any other
+container of scalars is one call of json's C encoder, and a container of
+containers writes its items as it goes, so the document is never held as
+one string. json spells every scalar the memos do not hold. Float, str and
+quoted-key texts are memoized per document. Zeros are not memoized:
 0.0 == -0.0 as dict keys, but their texts differ.
+
+An encoding's snapshots are spelled from each step's changes. Each one
+records the texts its step changed and the snapshot it was chained onto;
+the emitter keeps the last snapshot's `"key": value` texts in key order, so
+a snapshot chained onto that one re-spells only its changed entries, and
+rebuilds the order only when a change adds a string. Nothing is diffed by
+value, since 0.0 == -0.0 and 1 == 1.0 == True compare equal but spell
+differently; a snapshot that is mutated, copied or not chained onto the
+last one written is spelled whole.
 """
 
 from __future__ import annotations
@@ -87,13 +95,17 @@ def _atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
 _encode = json.JSONEncoder().encode
 
 
-class _FloatTexts(dict):
-    """Float texts of one document, keyed by value.
+class _ScalarTexts(dict):
+    """Texts of one document's strs and floats, keyed by value.
 
+    Only exact strs and floats may be looked up: 1 == 1.0 == True as keys.
     Zeros are not kept: 0.0 == -0.0, but their texts differ.
     """
 
-    def __missing__(self, value: float) -> str:
+    def __missing__(self, value: str | float) -> str:
+        if type(value) is str:
+            text = self[value] = encode_basestring_ascii(value)
+            return text
         text = float.__repr__(value) if math.isfinite(value) else _encode(value)
         if value:
             self[value] = text
@@ -110,54 +122,134 @@ class _KeyTexts(dict):
         return text
 
 
-def _emit_json(
-    value: Any, indent: str, write: Callable[[str], Any], floats: _FloatTexts, keys: _KeyTexts
-) -> None:
-    """Write `value` as json.dumps(indent=2, sort_keys=True) writes it at this depth.
+class _Snapshot(dict):
+    """One step's ledger keyed by text, as `_snapshots` yields it.
 
-    A container of floats joins memoized texts, a container of other scalars
-    is one call of json's C encoder, and a container that holds containers
-    writes its items as it goes, so no text larger than one container of
-    scalars is ever built. Raises TypeError on a non-str key or a value that
-    is not a str, int, float, bool, None, list, tuple or dict.
+    `base` is the snapshot its step was chained onto, or None when it was
+    built from a whole ledger; `changed` names the texts its step changed.
+    A mutation detaches it, and a copy or pickle of it is a plain dict, so
+    a snapshot whose contents are not `base` updated at `changed` is never
+    spelled from its changes.
     """
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        write(_encode(value))
-        return
-    if isinstance(value, dict):
-        try:
-            names = sorted(value)
-        except TypeError:  # unorderable keys, so at least one is not a str
-            names = [k for k in value if not isinstance(k, str)]
-        heads = list(map(keys.__getitem__, names))  # refuses a non-str key
-        values = list(map(value.__getitem__, names))
-        opening, closing = "{\n", "}"
-    else:
-        heads = None
-        values = value
-        opening, closing = "[\n", "]"
-    kinds = set(map(type, values))
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-        lead = opening + inner
-        for head, item in zip(heads or repeat(""), values):
-            write(lead + head)
-            _emit_json(item, inner, write, floats, keys)
-            lead = sep
-        write("\n" + indent + closing)
-        return
-    if kinds == {float}:  # ledger snapshots
-        texts = list(map(floats.__getitem__, values))
-        items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
-    else:
-        items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
-    write(opening + inner + items + "\n" + indent + closing)
+
+    __slots__ = ("base", "changed")
+
+    def __reduce__(self) -> tuple:
+        return dict, (dict(self),)
+
+
+def _detaching(name: str) -> Callable:
+    method = getattr(dict, name)
+
+    def mutate(self: _Snapshot, *args: Any, **kwargs: Any) -> Any:
+        self.base = self.changed = None
+        return method(self, *args, **kwargs)
+
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault",
+              "update"):
+    setattr(_Snapshot, _name, _detaching(_name))
+
+
+class _Emitter:
+    """Writes one document as json.dumps(indent=2, sort_keys=True) writes it.
+
+    A container of floats, or of floats and strs, joins memoized texts, a
+    container of other scalars is one call of json's C encoder, and a
+    container that holds containers writes its items as it goes, so no text
+    larger than one container of scalars is ever built. The emitter keeps
+    the `"key": value` fragments of the last snapshot it wrote, in key
+    order, so a snapshot chained onto that one re-spells only its changed
+    entries. Raises TypeError on a non-str key or a value that is not a
+    str, int, float, bool, None, list, tuple or dict.
+    """
+
+    def __init__(self, write: Callable[[str], Any]) -> None:
+        self.write = write
+        self.texts = _ScalarTexts()
+        self.keys = _KeyTexts()
+        self.last: _Snapshot | None = None  # the last snapshot whose fragments are kept
+        self.fragments: list[str] = []
+        self.positions: dict[str, int] = {}  # key -> index in fragments
+
+    def text(self, value: Any) -> str:
+        """json's text of a scalar."""
+        return self.texts[value] if type(value) in (str, float) else _encode(value)
+
+    def emit(self, value: Any, indent: str) -> None:
+        if not isinstance(value, (dict, list, tuple)) or not value:
+            self.write(self.text(value))
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, _Snapshot) and value.base is not None and value.base is self.last:
+            fragments = self.respell(value)
+            if fragments is not None:  # three writes: the body is too large to copy again
+                self.write("{\n" + inner)
+                self.write(sep.join(fragments))
+                self.write("\n" + indent + "}")
+                return
+        if isinstance(value, dict):
+            try:
+                names = sorted(value)
+            except TypeError:  # unorderable keys, so at least one is not a str
+                names = [k for k in value if not isinstance(k, str)]
+            heads = list(map(self.keys.__getitem__, names))  # refuses a non-str key
+            values = list(map(value.__getitem__, names))
+            opening, closing = "{\n", "}"
+        else:
+            heads = None
+            values = value
+            opening, closing = "[\n", "]"
+        kinds = set(map(type, values))
+        if float in kinds and kinds <= {str, float}:  # ledger snapshots, channel terms
+            texts = map(self.texts.__getitem__, values)
+            if heads is None:
+                items = sep.join(texts)
+            else:
+                fragments = list(map(str.__add__, heads, texts))
+                items = sep.join(fragments)
+                if isinstance(value, _Snapshot) and value.changed is not None:
+                    self.last, self.fragments = value, fragments
+                    self.positions = dict(zip(names, range(len(names))))
+        elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+            lead = opening + inner
+            for head, item in zip(heads or repeat(""), values):
+                self.write(lead + head)
+                self.emit(item, inner)
+                lead = sep
+            self.write("\n" + indent + closing)
+            return
+        else:
+            items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
+        self.write(opening + inner + items + "\n" + indent + closing)
+
+    def respell(self, snapshot: _Snapshot) -> list[str] | None:
+        """The fragments of `snapshot`, chained onto the last one written,
+        from that one's fragments and its changed entries; None if one of
+        those entries is a container."""
+        changed = snapshot.changed
+        values = list(map(snapshot.__getitem__, changed))
+        if any(isinstance(v, (dict, list, tuple)) for v in values):
+            return None
+        positions = self.positions
+        if not all(map(positions.__contains__, changed)):  # a new string: rebuild the order
+            order = sorted(snapshot)
+            old = self.fragments
+            self.fragments = [old[positions[k]] if k in positions else "" for k in order]
+            self.positions = positions = dict(zip(order, range(len(order))))
+        fragments = self.fragments
+        for key, value in zip(changed, values):
+            fragments[positions[key]] = self.keys[key] + self.text(value)
+        self.last = snapshot
+        return fragments
 
 
 def write_json(data: Any, path: str | os.PathLike) -> None:
     with _atomic_open(path) as fh:
-        _emit_json(data, "", fh.write, _FloatTexts(), _KeyTexts())
+        _Emitter(fh.write).emit(data, "")
         fh.write("\n")
 
 
@@ -253,19 +345,24 @@ def load_channel(path: str | os.PathLike) -> PauliChannel:
     return channel_from_dict(data)
 
 
-def _snapshots(steps: Iterable[EncodingStep]) -> Iterator[dict[str, float]]:
+def _snapshots(steps: Iterable[EncodingStep]) -> Iterator[_Snapshot]:
     """Each step's ledger keyed by text, from one running ledger that takes
-    each step's changes; a step not chained onto the one before replays."""
+    each step's changes; a step not chained onto the one before replays.
+    Each snapshot records the texts it took and, when its step is chained
+    onto the one before, the snapshot before it."""
     ledger: dict[str, float] = {}
-    before = None
+    before = snapshot = None
     for step in steps:
         if step.previous is before:
-            changes = step.changes
+            changes, base = step.changes, snapshot
         else:
             ledger = {}
-            changes = step.residues
-        ledger.update((p.text, r) for p, r in changes)
-        yield dict(ledger)
+            changes, base = step.residues, None
+        entries = [(p.text, r) for p, r in changes]
+        ledger.update(entries)
+        snapshot = _Snapshot(ledger)
+        snapshot.base, snapshot.changed = base, tuple(text for text, _ in entries)
+        yield snapshot
         before = step
 
 

@@ -6,14 +6,17 @@ independent implementation rather than against itself. The one exception,
 `orbit_bfs`, walks products from `multiply`, which criterion 1 checks
 against dense matrices. `shift_residue` corrupts an encoding result so the
 tests can reach the invariant audits' failure paths. `scanning_encode` is
-the encoder loop written plainly, the oracle for `encoder.encode`.
+the encoder loop written plainly, the oracle for `encoder.encode`, and
+`tie_heavy_encodings` draws the inputs both are run on.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
+from noisim.channels import PauliChannel
 from noisim.encoder import (
     STOP_ALL_WITHIN_TOL,
     STOP_MAX_ITERS,
@@ -155,3 +158,16 @@ def scanning_encode(target, noise, mode, node, *, tol, max_iters) -> EncodingRes
             ledger[image] = ledger.get(image, 0.0) - mass * w
         steps.append(EncodingStep(len(steps), chosen, mass, tuple(ledger.items())))
     return EncodingResult(mode, target, noise, tuple(steps), ledger, math.fsum(masses), reason)
+
+
+@st.composite
+def tie_heavy_channels(draw, n):
+    """Channels whose weights are small integers over their sum, so residues tie exactly."""
+    texts = draw(st.lists(st.sampled_from(all_texts(n)), min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(texts), max_size=len(texts)))
+    return PauliChannel([(k / sum(counts), t) for k, t in zip(counts, texts)])
+
+
+# (target, noise, fixed node) on 1 to 3 qubits
+tie_heavy_encodings = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    tie_heavy_channels(n), tie_heavy_channels(n), st.sampled_from(all_texts(n)[1:])))

@@ -26,7 +26,7 @@ from noisim import encoder
 from noisim.pauli import multiply, parse
 from noisim.serialize import encoding_to_dict
 
-from helpers import all_texts, random_channel_terms, scanning_encode
+from helpers import random_channel_terms, scanning_encode, tie_heavy_encodings
 
 # four-way symmetric target over the XZ noise orbit, with identity-heavy noise
 FOUR_WAY = [(0.25, "YI"), (0.25, "ZX"), (0.25, "XZ"), (0.25, "IY")]
@@ -271,14 +271,6 @@ def test_fixed_run_builds_its_image_table_once(monkeypatch):
     assert {b for _, b in calls} == {parse("XZ")}
 
 
-@st.composite
-def tie_heavy_channels(draw, n):
-    """Channels whose weights are small integers over their sum, so residues tie exactly."""
-    texts = draw(st.lists(st.sampled_from(all_texts(n)), min_size=1, max_size=5, unique=True))
-    counts = draw(st.lists(st.integers(1, 3), min_size=len(texts), max_size=len(texts)))
-    return PauliChannel([(k / sum(counts), t) for k, t in zip(counts, texts)])
-
-
 def _bits(result):
     """Every float of a run as its exact hex text, so -0.0 and 0.0 differ."""
     return (
@@ -289,9 +281,7 @@ def _bits(result):
     )
 
 
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    tie_heavy_channels(n), tie_heavy_channels(n), st.sampled_from(all_texts(n)[1:]))),
-    st.sampled_from(["fixed", "adaptive"]))
+@given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))
 @settings(max_examples=150, deadline=None)
 def test_encode_matches_scanning_oracle_bit_for_bit(channels, mode):
     target, noise, node = channels
@@ -300,9 +290,7 @@ def test_encode_matches_scanning_oracle_bit_for_bit(channels, mode):
     assert _bits(got) == _bits(want)
 
 
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    tie_heavy_channels(n), tie_heavy_channels(n), st.sampled_from(all_texts(n)[1:]))),
-    st.sampled_from(["fixed", "adaptive"]))
+@given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))
 @settings(max_examples=150, deadline=None)
 def test_steps_store_only_their_changes(channels, mode):
     target, noise, node = channels

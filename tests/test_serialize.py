@@ -1,8 +1,10 @@
+import copy
 import csv
 import io
 import json
 import math
 import os
+import pickle
 import tracemalloc
 from collections import OrderedDict, namedtuple
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from noisim import serialize
 from noisim.channels import PauliChannel
 from noisim.choi import theorem1_check
 from noisim.channels import DensityMatrix
@@ -22,7 +25,13 @@ from noisim.dynamics import (
     default_target_channel,
     run_benchmark,
 )
-from noisim.encoder import STOP_ALL_WITHIN_TOL, EncodingResult, EncodingStep, encode_adaptive
+from noisim.encoder import (
+    STOP_ALL_WITHIN_TOL,
+    EncodingResult,
+    EncodingStep,
+    encode,
+    encode_adaptive,
+)
 from noisim.pauli import parse
 from noisim.sampling import run_trials
 from noisim.serialize import (
@@ -38,6 +47,8 @@ from noisim.serialize import (
     write_csv,
     write_json,
 )
+
+from helpers import random_channel_terms, tie_heavy_encodings
 
 CHANNEL = PauliChannel([(0.5, "II"), (0.3, "XZ"), (0.2, "IY")])
 
@@ -284,6 +295,142 @@ def test_encoding_to_dict_writes_each_snapshot_of_unchained_steps():
     snapshots = [s["residues"] for s in encoding_to_dict(result)["steps"]]
     assert snapshots == [{"ZZ": 0.05, "XZ": 0.0}, {"XZ": -0.1}, {"ZZ": 0.05, "XZ": 0.0, "IY": 0.2}]
     assert [{p.text: r for p, r in s.residues} for s in result.steps] == snapshots
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _written(value, tmp_path):
+    path = tmp_path / "v.json"
+    write_json(value, path)
+    return path.read_text()
+
+
+def _result(steps):
+    return EncodingResult(
+        mode="fixed",
+        target=PauliChannel([(0.9, "II"), (0.1, "XZ")]),
+        noise=PauliChannel([(0.5, "II"), (0.5, "XX")]),
+        steps=tuple(steps),
+        residues={parse("II"): 0.6, parse("XZ"): -0.1},
+        encoded_mass=0.3,
+        stop_reason=STOP_ALL_WITHIN_TOL,
+    )
+
+
+def _chain(first, *changes):
+    """Steps each chained onto the one before; the first holds a whole ledger."""
+    steps = [EncodingStep(0, parse("XZ"), 0.1, _ledger(first))]
+    for i, step_changes in enumerate(changes, 1):
+        steps.append(EncodingStep(i, parse("XZ"), 0.1, _ledger(step_changes), steps[-1]))
+    return steps
+
+
+def _ledger(entries):
+    return tuple((parse(text), r) for text, r in entries.items())
+
+
+@given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_encoding_json_is_json_dumps_byte_for_byte(tmp_path, channels, mode):
+    target, noise, node = channels
+    data = encoding_to_dict(encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40))
+    assert _written(data, tmp_path) == _dumps(data)
+
+
+_first = EncodingStep(0, parse("XZ"), 0.1, _ledger({"ZZ": 0.05, "XZ": 0.0}))
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # unchained steps, and a third step chained onto the first rather than the second
+        [_first, EncodingStep(1, parse("XZ"), 0.1, _ledger({"XZ": -0.1})),
+         EncodingStep(2, parse("XZ"), 0.1, _ledger({"IY": 0.2}), _first), _first],
+        # new strings that sort first, between and last
+        _chain({"XZ": 0.5, "ZZ": 0.25}, {"IY": 0.125}, {"XZ": 0.0, "II": 1.0},
+               {"ZZ": 0.5, "ZY": 2.0}),
+        # residues flipping between 0.0 and -0.0, which are equal as values
+        _chain({"XZ": 0.0, "ZZ": 0.5}, {"XZ": -0.0}, {"XZ": 0.0}, {"XZ": -0.0, "ZZ": -0.0},
+               {"ZZ": 0.0}),
+        # int and bool residues, equal to 1.0 as values but spelled differently
+        _chain({"XZ": 1.0, "ZZ": 1}, {"XZ": 1}, {"XZ": True, "ZZ": 0.5}, {"XZ": 1.0}, {"ZZ": 1}),
+        # a residue that is a container, then a float again
+        _chain({"XZ": 0.5, "ZZ": 0.25}, {"XZ": [0.5, -0.0]}, {"XZ": 0.5}, {"ZZ": 0.125}),
+    ],
+    ids=["unchained", "new-strings", "signed-zeros", "int-and-bool", "container"],
+)
+def test_hand_built_encodings_write_as_json_dumps(tmp_path, steps):
+    data = encoding_to_dict(_result(steps))
+    assert [s["residues"] for s in data["steps"]] == [
+        {p.text: r for p, r in step.residues} for step in steps
+    ]
+    assert _written(data, tmp_path) == _dumps(data)
+
+
+def test_snapshots_write_as_json_dumps_wherever_they_are_placed(tmp_path):
+    steps = _chain({"XZ": 0.5, "ZZ": 0.25}, {"XZ": -0.0}, {"IY": 0.125}, {"XZ": 0.0})
+    a, b, c, d = (s["residues"] for s in encoding_to_dict(_result(steps))["steps"])
+    for doc in ([b, b, a, b, c], [a, b, {"x": c}, c, [d]], [c, a, c, b, c, d], {"k": [a, a, b]}):
+        assert _written(doc, tmp_path) == _dumps(doc)
+    assert json.dumps(c, sort_keys=True) == '{"IY": 0.125, "XZ": -0.0, "ZZ": 0.25}'
+    # copies are plain dicts equal to the snapshot
+    for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b)), dict(b)):
+        assert type(twin) is dict and twin == b
+    # a mutated snapshot, and any chained onto it, is written as it now reads
+    b["ZZ"] = -0.0
+    c.update(XZ=1)
+    for doc in ([a, b, c, d], [a, c, d], [a, b, d]):
+        assert _written(doc, tmp_path) == _dumps(doc)
+    del a["ZZ"]
+    assert _written([a, b, c, d], tmp_path) == _dumps([a, b, c, d])
+
+
+def _snapshot_reads(result, tmp_path):
+    """Snapshot entries read while writing `result`, and the entries of
+    every whole snapshot plus every step's changes."""
+    data = encoding_to_dict(result)
+    whole = sum(
+        len(written["residues"])
+        for step, before, written in zip(result.steps, (None,) + result.steps, data["steps"])
+        if step.previous is not before
+    )
+    reads = []
+
+    def counting_read(snapshot, key):
+        reads.append(key)
+        return dict.__getitem__(snapshot, key)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize._Snapshot, "__getitem__", counting_read)
+        _written(data, tmp_path)
+    return len(reads), whole + sum(len(step.changes) for step in result.steps)
+
+
+@given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_writing_an_encoding_spells_only_each_steps_changes(tmp_path, channels, mode):
+    target, noise, node = channels
+    result = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
+    reads, bound = _snapshot_reads(result, tmp_path)
+    assert reads <= bound
+
+
+def test_a_long_encoding_reads_far_fewer_entries_than_its_snapshots_hold(tmp_path):
+    rng = np.random.default_rng(7)
+    target = PauliChannel(random_channel_terms(rng, 5, max_terms=200, identity_weight=0.9))
+    noise = PauliChannel(random_channel_terms(rng, 5, max_terms=4, identity_weight=0.5))
+    result = encode(target, noise, tol=0.0, max_iters=60)
+    reads, bound = _snapshot_reads(result, tmp_path)
+    assert reads <= bound < sum(len(step.residues) for step in result.steps) / 5
+    # chained onto a step that is not written just before it, each step is spelled whole
+    unchained = _result(result.steps[::-1])
+    reads, bound = _snapshot_reads(unchained, tmp_path)
+    assert reads == sum(len(step.residues) for step in unchained.steps)
+
 
 def test_cluster_and_certificate_dicts():
     cluster = cluster_to_dict(analyze_cluster("YI", ["XX", "ZZ"]))
