@@ -15,21 +15,19 @@ trials: a vectorized copy of numpy's SeedSequence hashes the entropy words
 Python ints. A test ties every step to numpy's own SeedSequence and PCG64.
 
 A draw u in [0, 1) picks the term searchsorted(cum, u, side="right") of
-the cumulative weights cum (cum[-1] forced to 1.0). It is found through a
-guide table (Chen and Asau, 1974; Devroye, Non-Uniform Random Variate
-Generation, III.2.4): with M a power of two, g[b] counts the cum[k] <= b/M,
-so the answer for u lies in [g[b], g[b+1]] for b = floor(u * M). u * M and
-b / M are exact, so g[b] is a lower bound with no rounding, and one
-compare-and-add per boundary a bucket can hold lands on the same index as
-searchsorted, bit for bit. A channel that packs more boundaries into one
-bucket than _GUIDE_MAX_STEPS falls back to searchsorted.
+the cumulative weights cum (cum[-1] forced to 1.0). u lies in bucket
+b = floor(u * M) of a guide table g (Chen and Asau, 1974; Devroye,
+Non-Uniform Random Variate Generation, III.2.4), where g[b] counts the
+cum[k] <= b/M and M, a power of two, gives each term 64 buckets or more
+up to _GUIDE_MAX. u * M and b / M are exact, so every draw in a bucket no
+boundary splits (g[b + 1] == g[b]) picks term g[b]. Draws count in an int64
+histogram: in their bucket's slot, or, in a split bucket, searched and in
+slot M + their term. A block's end folds the histogram by term.
 
-Each worker fills one buffer of _CHUNK doubles from its trials' generators
-in turn and classifies and counts it when it is full, so a short trial
-costs one call into numpy, not a classify and a count of its own. A double
-takes one 64-bit output of PCG64, so a trial's stream is the same whether
-drawn whole or in slices, and the counts are those of drawing each trial
-alone.
+Each worker fills one buffer of _CHUNK doubles from its trials' PCG64
+streams, in slices that change no draw, and counts it when full. Setting a
+trial's state holds the GIL, so trials under _LONG_TRIAL steps run on one
+worker: on 2 vCPUs a second one slowed 1,000-step trials by 10-20%.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ from .channels import PauliChannel
 __all__ = ["SampleReport", "run_trials", "sample_indices"]
 
 _CHUNK = 1 << 16  # draws per buffer, so memory does not grow with the step count
-_GUIDE_SIZE = 1 << 12  # M, a power of two so that u * M and b / M are exact
-_GUIDE_MAX_STEPS = 8  # boundaries per bucket beyond which searchsorted is faster
+_GUIDE_MAX = 1 << 18  # the most buckets M: a power of two, so that u * M and b / M are exact
+_LONG_TRIAL = 4000  # steps per trial from which a second worker saves more than it costs
 _SEED_BATCH = 512  # trials whose states are derived together, so memory does not grow with them
 
 # numpy's SeedSequence: a pool of four uint32 words, hashed and mixed. Every
@@ -90,39 +88,40 @@ class SampleReport:
         )
 
 
-class _Classifier:
-    """searchsorted(cum, u, side="right") for draws u in [0, 1), through a guide table."""
-
-    __slots__ = ("cum", "guide", "steps")
+class _GuideTable:
+    """Histogram slots for draws: one per bucket of M, then one per term; slot s counts terms[s]."""
 
     def __init__(self, channel: PauliChannel) -> None:
-        cum = np.cumsum([w for w, _ in channel.terms])
+        self.cum = cum = np.cumsum([w for w, _ in channel.terms])
         cum[-1] = 1.0
+        self.size = size = min(64 << (len(cum) - 1).bit_length(), _GUIDE_MAX)
         # below 1.0 the test cum[k] <= u is true on a prefix of k, also when
         # rounding puts cum[-2] above the forced 1.0, so searchsorted is exact
-        guide = np.searchsorted(cum, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
+        guide = np.searchsorted(cum, np.arange(size) / size, side="right")
         # a draw is below cum[-1], so no index passes len(cum) - 1
-        steps = int(np.diff(guide, append=len(cum) - 1).max())
-        self.cum = cum
-        self.guide = guide if steps <= _GUIDE_MAX_STEPS else None
-        self.steps = steps
+        self.split = np.diff(guide, append=len(cum) - 1) > 0
+        self.terms = np.concatenate([guide, np.arange(len(cum))])
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self.guide is None:
-            return np.searchsorted(self.cum, u, side="right")
-        idx = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
-        for _ in range(self.steps):
-            idx += self.cum[idx] <= u
-        return idx
+    def slots(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The slot of each draw of u, written to out."""
+        np.multiply(u, self.size, out=out, casting="unsafe")  # exact, then truncated
+        at = np.flatnonzero(self.split[out])
+        out[at] = self.size + np.searchsorted(self.cum, u[at], side="right")
+        return out
+
+    def fold(self, hist: np.ndarray) -> np.ndarray:
+        """The count of each term, from a histogram of slots, in exact int64."""
+        counts = np.zeros(len(self.cum), dtype=np.int64)
+        np.add.at(counts, self.terms, hist)
+        return counts
 
 
-def sample_indices(
-    channel: PauliChannel, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_indices(channel: PauliChannel, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into channel.terms, drawn by inverse transform sampling."""
     if n_samples < 0:
         raise ValueError(f"need n_samples >= 0, got {n_samples}")
-    return _Classifier(channel)(rng.random(n_samples))
+    table = _GuideTable(channel)
+    return table.terms[table.slots(rng.random(n_samples), np.empty(n_samples, dtype=np.intp))]
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -232,13 +231,13 @@ def run_trials(
         raise ValueError(f"need seed >= 0, got {seed}")
     if n_trials * steps_per_trial >= 2**63:  # the int64 counts would overflow
         raise ValueError(f"need trials * steps < 2**63, got {n_trials} * {steps_per_trial}")
-    n_terms = len(channel.terms)
-    classify = _Classifier(channel)
+    table = _GuideTable(channel)
 
     def block(trials: range) -> np.ndarray:
-        counts = np.zeros(n_terms, dtype=np.int64)
-        # one buffer for the draws of every trial in the block
+        hist = np.zeros(len(table.terms), dtype=np.int64)
+        # one buffer for the draws of every trial in the block, and their slots
         buf = np.empty(min(_CHUNK, len(trials) * steps_per_trial))
+        slots = np.empty(len(buf), dtype=np.intp)
         # one generator per worker, set to each trial's state before its draws
         bit_generator = np.random.PCG64()
         rng = np.random.Generator(bit_generator)
@@ -252,14 +251,14 @@ def run_trials(
                 pos += take
                 left -= take
                 if pos == len(buf):
-                    counts += np.bincount(classify(buf), minlength=n_terms)
+                    hist += np.bincount(table.slots(buf, slots), minlength=len(hist))
                     pos = 0
         if pos:
-            counts += np.bincount(classify(buf[:pos]), minlength=n_terms)
-        return counts
+            hist += np.bincount(table.slots(buf[:pos], slots[:pos]), minlength=len(hist))
+        return table.fold(hist)
 
-    # more workers than trials or cores adds threads and no speed
-    workers = min(threads, n_trials, os.cpu_count() or 1)
+    # more workers than trials or cores adds threads and no speed, and so do short trials
+    workers = min(threads, n_trials, os.cpu_count() or 1) if steps_per_trial >= _LONG_TRIAL else 1
     bounds = [n_trials * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         totals = sum(pool.map(block, map(range, bounds[:-1], bounds[1:])))

@@ -37,6 +37,8 @@ def _oracle_counts(seed, n_trials, steps):
 
 def test_thread_count_does_not_change_counts(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # trials of every length are split among workers
+    monkeypatch.setattr(sampling, "_LONG_TRIAL", 1)
     chunk = sampling._CHUNK
     for n_trials, steps in (
         # a trial longer than one chunk, split over blocks of unequal size
@@ -105,6 +107,7 @@ def test_blocks_that_start_mid_batch(monkeypatch):
     # at 2 and 3 threads a worker's block starts at a trial off the batch grid
     # (257, 171, 343), and the second batch of threads=1 holds three trials
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sampling, "_LONG_TRIAL", 1)
     expected = _oracle_counts(4, BATCH + 3, 7)
     for threads in (1, 2, 3):
         report = run_trials(CHANNEL, seed=4, n_trials=BATCH + 3, steps_per_trial=7, threads=threads)
@@ -128,13 +131,24 @@ def test_trial_states_are_derived_in_bounded_batches(monkeypatch):
     assert max(hi - lo for lo, hi in spans) == BATCH
 
 
-def _check_classifier(weights, extra_draws=()):
-    """The guide-table classifier equals searchsorted on every edge draw."""
-    channel = PauliChannel(zip(weights, TEXTS))
+class _FixedDraws:
+    """Stands in for a Generator whose random(n) returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, n):
+        assert n == len(self.draws)
+        return self.draws.copy()
+
+
+def _check_table(weights, extra_draws=(), texts=TEXTS):
+    """Counts from the slot histogram, and sample_indices, equal searchsorted on every edge draw."""
+    channel = PauliChannel(zip(weights, texts))
     cum = np.cumsum([w for w, _ in channel.terms])
     cum[-1] = 1.0
-    m = sampling._GUIDE_SIZE
-    edges = np.concatenate([cum, np.arange(m) / m])
+    table = sampling._GuideTable(channel)
+    edges = np.concatenate([cum, np.arange(table.size) / table.size])
     draws = np.concatenate([
         edges,
         np.nextafter(edges, 0.0),
@@ -143,32 +157,58 @@ def _check_classifier(weights, extra_draws=()):
         extra_draws,
     ])
     draws = draws[(draws >= 0.0) & (draws < 1.0)]
-    classify = sampling._Classifier(channel)
-    assert np.array_equal(classify.cum, cum)
-    assert np.array_equal(classify(draws), np.searchsorted(cum, draws, side="right"))
-    return classify
+    expected = np.searchsorted(cum, draws, side="right")
+    assert np.array_equal(table.cum, cum)
+    slots = table.slots(draws, np.empty(len(draws), dtype=np.intp))
+    counts = table.fold(np.bincount(slots, minlength=len(table.terms)))
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(expected, minlength=len(cum)))
+    indices = sample_indices(channel, len(draws), _FixedDraws(draws))
+    assert np.array_equal(indices, expected)
+    return table
 
 
-def test_classifier_corner_cases():
-    # one term: every draw is term 0, with no boundary to step over
-    assert _check_classifier([1.0]).steps == 0
+def test_classifier_corner_cases(monkeypatch):
+    # one term: every draw is term 0, and no bucket is split
+    assert not _check_table([1.0]).split.any()
     # a tiny weight vanishes in the sum, so two cumulative weights are equal
-    vanished = _check_classifier([0.5, 1e-17, 0.25, 1e-300, 0.25])
+    vanished = _check_table([0.5, 1e-17, 0.25, 1e-300, 0.25])
     assert vanished.cum[0] == vanished.cum[1]
     # the weights sum to 1 + 1e-13, so cum[-2] lies above the forced cum[-1] = 1.0
-    over = _check_classifier([0.5, 0.5 + 1e-13, 1e-20])
+    over = _check_table([0.5, 0.5 + 1e-13, 1e-20])
     assert over.cum[-2] > over.cum[-1] == 1.0
-    _check_classifier([0.5, 0.5 - 1e-13, 1e-20])
+    _check_table([0.5, 0.5 - 1e-13, 1e-20])
     # the only boundary lies in the last bucket, below the forced 1.0
-    assert _check_classifier([1 - 1e-13, 1e-13]).steps == 1
+    last = _check_table([1 - 1e-13, 1e-13])
+    assert np.flatnonzero(last.split).tolist() == [last.size - 1]
     # boundaries exactly on bucket edges
-    _check_classifier([0.25, 0.25, 0.125, 0.375])
-    # a few boundaries in one bucket take a step each
-    few = _check_classifier([0.5, *[1e-9] * 5, 0.5 - 5e-9])
-    assert few.guide is not None and few.steps == 5
-    # 600 boundaries in one bucket fall back to searchsorted
-    many = _check_classifier([0.5, *[1e-9] * 600, 0.5 - 6e-7])
-    assert many.guide is None
+    _check_table([0.25, 0.25, 0.125, 0.375])
+    # 5 and 600 boundaries in one bucket
+    _check_table([0.5, *[1e-9] * 5, 0.5 - 5e-9])
+    _check_table([0.5, *[1e-9] * 600, 0.5 - 6e-7])
+    # 4096 terms get 64 buckets each, so few draws are searched
+    weights = np.random.default_rng(0).random(4**6)
+    weights /= weights.sum()
+    many = _check_table(weights, texts=all_texts(6))
+    assert many.size == 64 * 4**6 and many.split.mean() < 0.05
+    # capped at one bucket per term, most buckets are split and most draws searched
+    monkeypatch.setattr(sampling, "_GUIDE_MAX", 4**6)
+    capped = _check_table(weights, texts=all_texts(6))
+    assert capped.size == 4**6 and capped.split.mean() > 0.5
+
+
+def test_fold_counts_stay_exact_above_2_53():
+    table = sampling._GuideTable(CHANNEL)
+    hist = np.arange(len(table.terms), dtype=np.int64)
+    # the first two buckets count term 0, the last two slots terms 1 and 2
+    hist[[0, 1, -2, -1]] += 2**53 + 1
+    expected = [0] * len(CHANNEL.terms)
+    for term, count in zip(table.terms.tolist(), hist.tolist()):
+        expected[term] += count
+    assert max(expected) > 2**54
+    assert table.fold(hist).tolist() == expected
+    # a float64 fold rounds the same histogram
+    assert np.bincount(table.terms, weights=hist).astype(np.int64).tolist() != expected
 
 
 @st.composite
@@ -177,7 +217,7 @@ def weight_lists(draw):
         st.floats(1e-3, 1.0), st.sampled_from([1e-9, 1e-13, 1e-17, 1e-300])
     )
     raw = draw(st.lists(weight, min_size=1, max_size=60))
-    # a cluster of tiny weights, from a few boundaries per bucket to the fallback
+    # a cluster of tiny weights, from a few boundaries per bucket to forty
     cluster = draw(st.integers(0, 40))
     at = draw(st.integers(0, len(raw)))
     raw[at:at] = [1e-9] * cluster
@@ -193,7 +233,7 @@ def weight_lists(draw):
 @given(weight_lists(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
 @settings(max_examples=150, deadline=None)
 def test_classifier_matches_searchsorted(weights, draws):
-    _check_classifier(weights, np.array(draws, dtype=float))
+    _check_table(weights, np.array(draws, dtype=float))
 
 
 def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
@@ -217,18 +257,24 @@ def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
-    # (cores, trials, pool sizes)
-    for cores, n_trials, pools in ((4, 40, [4]), (4, 3, [3]), (None, 40, [1])):
+    long, short = sampling._LONG_TRIAL, sampling._LONG_TRIAL - 1
+    # (cores, trials, steps per trial, pool sizes); trials too short to pay
+    # for a second worker run on one
+    for cores, n_trials, steps, pools in (
+        (4, 40, long, [4]), (4, 3, long, [3]), (None, 40, long, [1]), (4, 40, short, [1])
+    ):
         requested.clear()
         blocks.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        report = run_trials(CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=25, threads=100_000)
+        report = run_trials(
+            CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=steps, threads=100_000
+        )
         assert requested == pools
         # one nonempty contiguous range per worker, covering every trial once
         (ranges,) = blocks
         assert len(ranges) == pools[0] and all(len(r) > 0 for r in ranges)
         assert [t for r in ranges for t in r] == list(range(n_trials))
-        assert report.counts == _oracle_counts(3, n_trials, 25)
+        assert report.counts == _oracle_counts(3, n_trials, steps)
 
 
 def test_counts_tally_and_frequencies():
