@@ -116,7 +116,7 @@ class DensityMatrix:
 class PauliChannel:
     """A probabilistic mixture of Pauli conjugations.
 
-    Terms are stored canonically: deduplicated by string (weights fsum-ed),
+    Terms are stored canonically: deduplicated by text (weights fsum-ed),
     exact zeros dropped, sorted by text form. Weights must be nonnegative
     and sum to one within 1e-12.
     """
@@ -124,35 +124,36 @@ class PauliChannel:
     __slots__ = ("n_qubits", "terms", "_weights")
 
     def __init__(self, terms: Iterable[tuple[float, PauliString]]) -> None:
-        by_string: dict[PauliString, list[float]] = {}
+        # keyed by text, which names one string and whose hash a str caches
+        strings: dict[str, PauliString] = {}
+        weights: dict[str, list[float]] = {}
         for w, s in terms:
             if isinstance(s, str):
                 s = parse(s)
             w = float(w)
             if not w >= 0:
                 raise ValueError(f"negative or NaN weight {w} on {s}")
-            by_string.setdefault(s, []).append(w)
-        if not by_string:
+            strings.setdefault(s.text, s)
+            weights.setdefault(s.text, []).append(w)
+        if not weights:
             raise ValueError("channel needs at least one term")
-        ns = {s.n_qubits for s in by_string}
+        ns = set(map(len, weights))
         if len(ns) != 1:
             raise ValueError(f"mixed qubit counts in channel: {sorted(ns)}")
-        merged = [(math.fsum(ws), s) for s, ws in by_string.items()]
+        merged = [(math.fsum(weights[t]), strings[t]) for t in sorted(weights)]
         total = math.fsum(w for w, _ in merged)
         if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        merged = [(w, s) for w, s in merged if w != 0.0]
-        merged.sort(key=lambda ws: ws[1].text)
         self.n_qubits = ns.pop()
-        self.terms = tuple(merged)
-        self._weights = {s: w for w, s in merged}
+        self.terms = tuple((w, s) for w, s in merged if w != 0.0)
+        self._weights = {s.text: w for w, s in self.terms}
 
     @property
     def support(self) -> tuple[PauliString, ...]:
         return tuple(s for _, s in self.terms)
 
     def weight(self, string: PauliString) -> float:
-        return self._weights.get(string, 0.0)
+        return self._weights.get(string.text, 0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliChannel):

@@ -10,16 +10,20 @@ term Q. So
 
     fsum(residues) + encoded_mass == 1
 
-holds throughout (weights of both channels sum to one). A node's image
-table, the pairs (w(Q), Q * node), is built once per node: once per run
-for the fixed rule, once per distinct node for the realized channel.
+holds throughout (weights of both channels sum to one).
+
+Inside the loop a string is its packed key x | z << n, key 0 the identity.
+Phases dropped, a product is one XOR (Aaronson and Gottesman, PRA 70,
+052328 (2004)); the fixed rule's image table (w(Q), Q ^ node) is built once
+per run. A key -> PauliString memo, seeded with the target's strings, builds
+every other string once, when its key is first reached.
 
 The identity string is exempt from targeting and from the convergence
 test: identity mass is realized for free by doing nothing, so its ledger
 entry only participates in conservation and in the adaptive mass budget.
 
 Residues only go down (masses are positive, noise weights nonnegative), so
-the heap holds one entry (-residue, text, string) per value a non-identity
+the heap holds one entry (-residue, text, key) per value a non-identity
 string has taken; an entry whose residue the ledger no longer holds is
 stale and dropped when it reaches the top. The top is then the worst
 residue, ties going to the smallest text. A step pushes one entry per
@@ -43,7 +47,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .channels import WEIGHT_SUM_ATOL, PauliChannel
-from .pauli import PauliString, identity, multiply, parse
+from .pauli import PauliString, parse
 
 __all__ = [
     "STOP_ALL_WITHIN_TOL",
@@ -203,9 +207,16 @@ def _add_exactly(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
-def _images(noise: PauliChannel, node: PauliString) -> list[tuple[float, PauliString]]:
-    """(w(Q), Q * node) for every noise term Q, in the noise's term order."""
-    return [(w, multiply(q, node).string) for w, q in noise.terms]
+def _images(noise: list[tuple[float, int]], node: int) -> list[tuple[float, int]]:
+    """(w(Q), Q * node) for every packed noise term Q, in the noise's term order."""
+    return [(w, q ^ node) for w, q in noise]
+
+
+def _string(strings: dict[int, PauliString], n: int, key: int) -> PauliString:
+    """The string of packed key `key` from the memo `strings`, built there on first use."""
+    if key not in strings:
+        strings[key] = PauliString(n, key & ((1 << n) - 1), key >> n)
+    return strings[key]
 
 
 def encode(
@@ -225,25 +236,29 @@ def encode(
     STOP_STALLED when the rule finds no positive mass to schedule.
     """
     _check_inputs(target, noise, tol, max_iters)
+    n = target.n_qubits
+    strings = {s.x_mask | s.z_mask << n: s for _, s in target.terms}
+    ledger = {k: w for k, (w, _) in zip(strings, target.terms)}
+    noise_keys = [(w, q.x_mask | q.z_mask << n) for w, q in noise.terms]
     if mode == "fixed":
         if node is None:
             raise ValueError("fixed encoding needs a node string")
         node = parse(node) if isinstance(node, str) else node
-        if node.n_qubits != target.n_qubits:
-            raise ValueError(f"node acts on {node.n_qubits} qubits, target on {target.n_qubits}")
+        if node.n_qubits != n:
+            raise ValueError(f"node acts on {node.n_qubits} qubits, target on {n}")
         if node.is_identity():
             raise ValueError("node must not be the identity string")
-        table = _images(noise, node)
-        images = [s for _, s in table if not s.is_identity()]
+        node_key = node.x_mask | node.z_mask << n
+        strings.setdefault(node_key, node)
+        table = _images(noise_keys, node_key)
+        images = [k for _, k in table if k]
     elif mode == "adaptive":
         # Q* is fixed by the noise; terms are sorted by text and max keeps the first tie
-        w_star, q_star = max(noise.terms, key=lambda wq: wq[0])
-        id_string = identity(target.n_qubits)
+        w_star, q_star = max(noise_keys, key=lambda wq: wq[0])
     else:
         raise ValueError(f"unknown encoder mode {mode!r}")
 
-    ledger = {s: w for w, s in target.terms}
-    heap = [(-r, s.text, s) for s, r in ledger.items() if not s.is_identity()]
+    heap = [(-r, strings[k].text, k) for k, r in ledger.items() if k]
     heapq.heapify(heap)
     mass_partials: list[float] = []  # fsum(mass_partials) == fsum of the masses so far
     steps: list[EncodingStep] = []
@@ -259,12 +274,12 @@ def encode(
             reason = STOP_MAX_ITERS
             break
         if mode == "fixed":
-            mass = max((ledger.get(s, 0.0) for s in images), default=0.0)
+            mass = max((ledger.get(k, 0.0) for k in images), default=0.0)
         else:
             # worst > tol >= 0, so some residue is pending and Q* maps the node onto it
-            node = multiply(q_star, heap[0][2]).string
-            table = _images(noise, node)
-            budget = 1.0 - math.fsum(mass_partials) - max(ledger.get(id_string, 0.0), 0.0)
+            node_key = q_star ^ heap[0][2]
+            table = _images(noise_keys, node_key)
+            budget = 1.0 - math.fsum(mass_partials) - max(ledger.get(0, 0.0), 0.0)
             mass = min(worst / w_star, budget)
         if mass <= 0.0:
             reason = STOP_STALLED
@@ -274,12 +289,14 @@ def encode(
         for w, image in table:
             old = ledger.get(image)
             r = ledger[image] = (0.0 if old is None else old) - mass * w
-            changes.append((image, r))
-            # an unchanged residue keeps its entry; a second equal one would compare strings
-            if r != old and not image.is_identity():
-                heapq.heappush(heap, (-r, image.text, image))
-        step = EncodingStep(len(steps), node, mass,
-                            tuple(changes) if step is not None else tuple(ledger.items()), step)
+            s = _string(strings, n, image)
+            changes.append((s, r))
+            # an unchanged residue keeps its entry; a second equal one would compare keys
+            if r != old and image:
+                heapq.heappush(heap, (-r, s.text, image))
+        if step is None:
+            changes = [(strings[k], r) for k, r in ledger.items()]
+        step = EncodingStep(len(steps), _string(strings, n, node_key), mass, tuple(changes), step)
         steps.append(step)
 
     return EncodingResult(
@@ -287,7 +304,7 @@ def encode(
         target=target,
         noise=noise,
         steps=tuple(steps),
-        residues=ledger,
+        residues={strings[k]: r for k, r in ledger.items()},
         encoded_mass=math.fsum(mass_partials),
         stop_reason=reason,
     )
@@ -338,17 +355,18 @@ def effective_channel(result: EncodingResult) -> PauliChannel:
     contributions are fsum-ed in schedule order, so equal schedules give
     bitwise-equal channels.
     """
-    tables: dict[PauliString, list[tuple[float, PauliString]]] = {}
-    contribs: dict[PauliString, list[float]] = {}
+    n = result.target.n_qubits
+    # the ledger holds every image, so their strings are taken from it
+    strings = {s.x_mask | s.z_mask << n: s for s in result.residues}
+    noise = [(w, q.x_mask | q.z_mask << n) for w, q in result.noise.terms]
+    contribs: dict[int, list[float]] = {}
     for step in result.steps:
-        if step.node not in tables:
-            tables[step.node] = _images(result.noise, step.node)
-        for w, image in tables[step.node]:
+        for w, image in _images(noise, step.node.x_mask | step.node.z_mask << n):
             contribs.setdefault(image, []).append(step.mass * w)
-    terms = [(math.fsum(parts), s) for s, parts in contribs.items()]
+    terms = [(math.fsum(parts), _string(strings, n, k)) for k, parts in contribs.items()]
     total = math.fsum(w for w, _ in terms)
     # the same tolerance PauliChannel applies to its weight sum
     if total > 1.0 + WEIGHT_SUM_ATOL:
         raise OverEncodedError(total)
-    terms.append((max(1.0 - total, 0.0), identity(result.target.n_qubits)))
+    terms.append((max(1.0 - total, 0.0), _string(strings, n, 0)))
     return PauliChannel(terms)

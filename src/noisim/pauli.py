@@ -137,9 +137,13 @@ def parse(text: str) -> PauliString:
         raise PauliParseError(f"invalid letter {ch!r} at position {pos} of {text!r}")
     # qubit 1 is the lowest mask bit, so the mask's binary digits run last letter first
     digits = text[::-1]
-    return PauliString(
-        len(text), int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
-    )
+    # the masks are in range by construction; the checked text is kept, not spelled again
+    s, set_ = object.__new__(PauliString), object.__setattr__
+    set_(s, "n_qubits", len(text))
+    set_(s, "x_mask", int(digits.translate(_X_DIGITS), 2))
+    set_(s, "z_mask", int(digits.translate(_Z_DIGITS), 2))
+    set_(s, "text", text)
+    return s
 
 
 def multiply(a: PauliString, b: PauliString) -> PhasedPauli:

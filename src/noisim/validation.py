@@ -53,13 +53,14 @@ def check_decomposition(result: EncodingResult, effective: PauliChannel | None =
     """
     if effective is None:
         effective = effective_channel(result)
-    strings = set(result.target.support) | set(result.residues) | set(effective.support)
+    n = result.target.n_qubits
+    # per packed key x | z << n; key 0 is the identity
+    target = {s.x_mask | s.z_mask << n: w for w, s in result.target.terms}
+    residues = {s.x_mask | s.z_mask << n: r for s, r in result.residues.items()}
+    realized = {s.x_mask | s.z_mask << n: w for w, s in effective.terms}
     defect = 0.0
-    for s in strings:
-        if s.is_identity():
-            continue
-        gap = abs(result.target.weight(s) - result.residues.get(s, 0.0) - effective.weight(s))
-        defect = max(defect, gap)
+    for k in (target.keys() | residues.keys() | realized.keys()) - {0}:
+        defect = max(defect, abs(target.get(k, 0.0) - residues.get(k, 0.0) - realized.get(k, 0.0)))
     if defect > CONSERVATION_ATOL:
         raise InvariantViolation(
             f"target/residue/effective decomposition off by {defect:.3e} "

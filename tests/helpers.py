@@ -7,7 +7,10 @@ independent implementation rather than against itself. The one exception,
 against dense matrices. `shift_residue` corrupts an encoding result so the
 tests can reach the invariant audits' failure paths. `scanning_encode` is
 the encoder loop written plainly, the oracle for `encoder.encode`, and
-`tie_heavy_encodings` draws the inputs both are run on.
+`tie_heavy_encodings` draws the inputs both are run on. `effective_oracle`
+and `decomposition_oracle` redo the realized channel and the decomposition
+audit over PauliString keys and `multiply` products, the oracles for the
+packed-key sums in `encoder` and `validation`.
 """
 
 import math
@@ -16,7 +19,7 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from noisim.channels import PauliChannel
+from noisim.channels import WEIGHT_SUM_ATOL, PauliChannel
 from noisim.encoder import (
     STOP_ALL_WITHIN_TOL,
     STOP_MAX_ITERS,
@@ -158,6 +161,37 @@ def scanning_encode(target, noise, mode, node, *, tol, max_iters) -> EncodingRes
             ledger[image] = ledger.get(image, 0.0) - mass * w
         steps.append(EncodingStep(len(steps), chosen, mass, tuple(ledger.items())))
     return EncodingResult(mode, target, noise, tuple(steps), ledger, math.fsum(masses), reason)
+
+
+def effective_oracle(result):
+    """The realized channel's terms as (weight, string) sorted by text, or None when
+    the schedule is over-encoded: per string, the fsum of mass * w(Q) over the
+    schedule, with the unscheduled remainder added to the identity."""
+    parts = {}
+    for step in result.steps:
+        for w, q in result.noise.terms:
+            parts.setdefault(multiply(q, step.node).string, []).append(step.mass * w)
+    weights = {s: math.fsum(p) for s, p in parts.items()}
+    total = math.fsum(weights.values())
+    if total > 1.0 + WEIGHT_SUM_ATOL:
+        return None
+    ident = identity(result.target.n_qubits)
+    remainder = max(1.0 - total, 0.0)
+    weights[ident] = math.fsum([weights[ident], remainder]) if ident in weights else remainder
+    return sorted(((w, s) for s, w in weights.items() if w != 0.0), key=lambda ws: ws[1].text)
+
+
+def decomposition_oracle(result, effective) -> float:
+    """max |target(s) - residue(s) - effective(s)| over the non-identity strings
+    of the three, each a dict keyed by PauliString."""
+    target = {s: w for w, s in result.target.terms}
+    realized = {s: w for w, s in effective.terms}
+    defect = 0.0
+    for s in target.keys() | result.residues.keys() | realized.keys():
+        if not s.is_identity():
+            gap = target.get(s, 0.0) - result.residues.get(s, 0.0) - realized.get(s, 0.0)
+            defect = max(defect, abs(gap))
+    return defect
 
 
 @st.composite

@@ -23,10 +23,10 @@ from noisim.encoder import (
     encode_fixed,
 )
 from noisim import encoder
-from noisim.pauli import multiply, parse
+from noisim.pauli import PauliString, identity, multiply, parse
 from noisim.serialize import encoding_to_dict
 
-from helpers import random_channel_terms, scanning_encode, tie_heavy_encodings
+from helpers import effective_oracle, random_channel_terms, scanning_encode, tie_heavy_encodings
 
 # four-way symmetric target over the XZ noise orbit, with identity-heavy noise
 FOUR_WAY = [(0.25, "YI"), (0.25, "ZX"), (0.25, "XZ"), (0.25, "IY")]
@@ -257,18 +257,40 @@ def test_random_runs_conserve_mass_and_decompose(seed, mode):
 
 def test_fixed_run_builds_its_image_table_once(monkeypatch):
     calls = []
+    images = encoder._images
 
-    def counting_multiply(a, b):
-        calls.append((a, b))
-        return multiply(a, b)
+    def counting_images(noise, node):
+        calls.append(node)
+        return images(noise, node)
 
-    monkeypatch.setattr(encoder, "multiply", counting_multiply)
-    noise = PauliChannel(SYM_NOISE)
-    result = encode_fixed(PauliChannel(FOUR_WAY), noise, parse("XZ"), tol=0.1)
+    monkeypatch.setattr(encoder, "_images", counting_images)
+    result = encode_fixed(PauliChannel(FOUR_WAY), PauliChannel(SYM_NOISE), parse("XZ"), tol=0.1)
     assert result.iterations == 5
-    # one product per noise term for the whole run, not one per term and step
-    assert len(calls) == len(noise.terms)
-    assert {b for _, b in calls} == {parse("XZ")}
+    # one table of packed images for the whole run, not one per step
+    xz = parse("XZ")
+    assert calls == [xz.x_mask | xz.z_mask << 2]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_encode_builds_each_string_once(monkeypatch, mode):
+    target = PauliChannel([(0.4, "II"), (0.3, "XZ"), (0.2, "XY"), (0.1, "ZI")])
+    noise = PauliChannel([(0.5, "II"), (0.2, "XI"), (0.2, "IZ"), (0.1, "YY")])
+    built = []
+    post_init = PauliString.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting_post_init)
+    result = encode(target, noise, mode=mode, node="XZ", tol=1e-3, max_iters=6)
+    effective_channel(result)
+    monkeypatch.undo()
+    # one string per ledger entry the target does not hold, built when first reached;
+    # the node and the identity are target strings here
+    new = set(result.residues) - set(target.support)
+    assert len(new) == 3
+    assert sorted(s.text for s in built) == sorted(s.text for s in new)
 
 
 def _bits(result):
@@ -288,6 +310,40 @@ def test_encode_matches_scanning_oracle_bit_for_bit(channels, mode):
     got = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
     want = scanning_encode(target, noise, mode, parse(node), tol=0.0, max_iters=40)
     assert _bits(got) == _bits(want)
+
+
+def _check_effective(result):
+    """effective_channel equals the PauliString-keyed oracle bit for bit, or both refuse."""
+    want = effective_oracle(result)
+    if want is None:
+        with pytest.raises(OverEncodedError):
+            effective_channel(result)
+    else:
+        got = effective_channel(result).terms
+        assert [(w.hex(), s, s.text) for w, s in got] == [(w.hex(), s, s.text) for w, s in want]
+
+
+@given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))
+@settings(max_examples=150, deadline=None)
+def test_effective_channel_matches_string_keyed_oracle(channels, mode):
+    target, noise, node = channels
+    _check_effective(encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40))
+
+
+def test_a_40_qubit_encode_matches_the_scanning_oracle():
+    # packed keys x | z << 40 are 80 bits wide; the target lies on the noise orbit
+    # of the node, so the images of one step land on the strings of another
+    rng = np.random.default_rng(40)
+    node, a, b, c = (parse("".join(rng.choice(list("IXYZ"), 40))) for _ in range(4))
+    orbit = [node] + [multiply(q, node).string for q in (a, b, c, multiply(a, b).string)]
+    weights = (0.6, *(k / 25 for k in (2, 2, 3, 2, 1)))
+    target = PauliChannel(zip(weights, [identity(40), *orbit]))
+    noise = PauliChannel([(k / 8, s) for k, s in zip((3, 2, 2, 1), (identity(40), a, b, c))])
+    for mode in ("fixed", "adaptive"):
+        got = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
+        want = scanning_encode(target, noise, mode, node, tol=0.0, max_iters=40)
+        assert got.iterations >= 3 and _bits(got) == _bits(want)
+        _check_effective(got)
 
 
 @given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))

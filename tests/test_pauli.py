@@ -38,6 +38,17 @@ def test_text_matches_per_qubit_oracle(data):
     assert parse(s.text) == s and hash(parse(s.text)) == hash(s)
 
 
+@given(st.text(alphabet="IXYZ", min_size=1, max_size=80))
+@settings(max_examples=300)
+def test_parse_equals_the_string_built_from_masks(text):
+    # parse keeps its checked text; the constructor spells it from the masks
+    p = parse(text)
+    s = PauliString(len(text), p.x_mask, p.z_mask)
+    assert text_oracle(len(text), p.x_mask, p.z_mask) == text
+    assert p == s and hash(p) == hash(s)
+    assert p.text == s.text == text and repr(p) == repr(s)
+
+
 def test_replace_respells_and_text_cannot_be_assigned():
     s = parse("XYZI")
     assert dataclasses.replace(s, x_mask=0).text == "IZZI"

@@ -1,7 +1,12 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisim import validation
 from noisim.channels import PauliChannel
-from noisim.encoder import encode_adaptive
+from noisim.encoder import effective_channel, encode, encode_adaptive
 from noisim.validation import (
     InvariantViolation,
     audit_encoding,
@@ -9,7 +14,7 @@ from noisim.validation import (
     check_decomposition,
 )
 
-from helpers import shift_residue
+from helpers import decomposition_oracle, effective_oracle, shift_residue, tie_heavy_encodings
 
 FOUR_WAY = [(0.25, "YI"), (0.25, "ZX"), (0.25, "XZ"), (0.25, "IY")]
 SYM_NOISE = [(0.2, "XX"), (0.2, "YY"), (0.2, "ZZ"), (0.4, "II")]
@@ -36,3 +41,20 @@ def test_decomposition_violation_raises_while_conservation_holds():
     assert check_conservation(broken) <= 1e-10
     with pytest.raises(InvariantViolation, match="decomposition off by 1.000e-06"):
         check_decomposition(broken)
+
+
+@given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]), st.sampled_from([0.0, 1e-3]))
+@settings(max_examples=150, deadline=None)
+def test_decomposition_matches_string_keyed_oracle(channels, mode, shift):
+    target, noise, node = channels
+    result = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
+    if effective_oracle(result) is None:
+        return  # over-encoded: there is no realized channel to audit against
+    effective = effective_channel(result)
+    if shift and any(not s.is_identity() for s in result.residues):
+        result = shift_residue(result, shift, onto_identity=True)
+    want = decomposition_oracle(result, effective)
+    with pytest.MonkeyPatch.context() as patch:
+        # no tolerance, so a defect is returned rather than raised
+        patch.setattr(validation, "CONSERVATION_ATOL", math.inf)
+        assert check_decomposition(result, effective).hex() == want.hex()
