@@ -21,13 +21,13 @@ from .serialize import (
     certificate_to_dict,
     channel_from_dict,
     cluster_to_dict,
-    encoding_to_dict,
     json_value,
     load_channel,
     load_json,
     sample_rows,
     save_channel,
     write_csv,
+    write_encoding,
     write_json,
 )
 from .validation import InvariantViolation, audit_encoding, check_conservation, check_decomposition
@@ -138,7 +138,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     result = encode(
         target, noise, mode=args.mode, node=args.node, tol=args.tol, max_iters=args.max_iters
     )
-    write_json(encoding_to_dict(result), args.out)
+    write_encoding(result, args.out)
     check_conservation(result)  # exit 3 here outranks the over-encoding exit 2 below
     effective = effective_channel(result)
     check_decomposition(result, effective)
@@ -217,7 +217,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     result = run_benchmark(config)
     write_csv(benchmark_rows(result), args.out)
     if args.encoding_out:
-        write_json(encoding_to_dict(result.encoding), args.encoding_out)
+        write_encoding(result.encoding, args.encoding_out)
     audit_encoding(result.encoding, result.effective)
     print(
         f"benchmark: {config.n_sites} sites, {config.n_steps} steps, "

@@ -98,6 +98,10 @@ class PauliString:
             left -= 4
         object.__setattr__(self, "text", text[: self.n_qubits])
 
+    def __hash__(self) -> int:
+        # the text is a function of (n_qubits, x_mask, z_mask), so equal strings hash equal
+        return hash(self.text)
+
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 

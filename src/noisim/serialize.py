@@ -12,21 +12,18 @@ run holds its occupation arrays, not a dict per row.
 
 JSON is written by one emitter whose output equals
 json.dumps(indent=2, sort_keys=True). It streams into the temp file: a
-container of floats, or of floats and strs, joins memoized texts, any other
-container of scalars is one call of json's C encoder, and a container of
-containers writes its items as it goes, so the document is never held as
-one string. json spells every scalar the memos do not hold. Float, str and
-quoted-key texts are memoized per document. Zeros are not memoized:
-0.0 == -0.0 as dict keys, but their texts differ.
+container of floats, or of floats and strs, joins memoized texts; a list of
+dicts that share one key set and hold only scalars (channel terms,
+certificate checks) fills one template per list; any other container of
+scalars is one call of json's C encoder, and a container of containers
+writes its items as it goes, so the document is never held as one string.
+Float, str and quoted-key texts are memoized per document; zeros are not,
+since 0.0 == -0.0 but their texts differ.
 
-An encoding's snapshots are spelled from each step's changes. Each one
-records the texts its step changed and the snapshot it was chained onto;
-the emitter keeps the last snapshot's `"key": value` texts in key order, so
-a snapshot chained onto that one re-spells only its changed entries, and
-rebuilds the order only when a change adds a string. Nothing is diffed by
-value, since 0.0 == -0.0 and 1 == 1.0 == True compare equal but spell
-differently; a snapshot that is mutated, copied or not chained onto the
-last one written is spelled whole.
+write_encoding copies no step's ledger. It keeps one list of the ledger's
+`"key": value` texts in key order, re-spells the entries each step changed
+without comparing values (0.0 == -0.0 spell apart) and joins it once per
+step; a step not chained onto the one before is spelled whole.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ __all__ = [
     "sample_rows",
     "save_channel",
     "write_csv",
+    "write_encoding",
     "write_json",
 ]
 
@@ -122,61 +120,60 @@ class _KeyTexts(dict):
         return text
 
 
-class _Snapshot(dict):
-    """One step's ledger keyed by text, as `_snapshots` yields it.
-
-    `base` is the snapshot its step was chained onto, or None when it was
-    built from a whole ledger; `changed` names the texts its step changed.
-    A mutation detaches it, and a copy or pickle of it is a plain dict, so
-    a snapshot whose contents are not `base` updated at `changed` is never
-    spelled from its changes.
-    """
-
-    __slots__ = ("base", "changed")
-
-    def __reduce__(self) -> tuple:
-        return dict, (dict(self),)
-
-
-def _detaching(name: str) -> Callable:
-    method = getattr(dict, name)
-
-    def mutate(self: _Snapshot, *args: Any, **kwargs: Any) -> Any:
-        self.base = self.changed = None
-        return method(self, *args, **kwargs)
-
-    return mutate
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault",
-              "update"):
-    setattr(_Snapshot, _name, _detaching(_name))
+def _names(value: dict) -> list:
+    """The keys of `value` in order; when they do not sort, the ones that are not strs."""
+    try:
+        return sorted(value)
+    except TypeError:  # unorderable keys, so at least one is not a str
+        return [k for k in value if not isinstance(k, str)]
 
 
 class _Emitter:
-    """Writes one document as json.dumps(indent=2, sort_keys=True) writes it.
-
-    A container of floats, or of floats and strs, joins memoized texts, a
-    container of other scalars is one call of json's C encoder, and a
-    container that holds containers writes its items as it goes, so no text
-    larger than one container of scalars is ever built. The emitter keeps
-    the `"key": value` fragments of the last snapshot it wrote, in key
-    order, so a snapshot chained onto that one re-spells only its changed
-    entries. Raises TypeError on a non-str key or a value that is not a
-    str, int, float, bool, None, list, tuple or dict.
+    """Writes one document as json.dumps(indent=2, sort_keys=True) writes it,
+    in the ways the module docstring lists. Raises TypeError on a non-str key
+    or a value that is not a str, int, float, bool, None, list, tuple or dict.
     """
 
     def __init__(self, write: Callable[[str], Any]) -> None:
         self.write = write
         self.texts = _ScalarTexts()
         self.keys = _KeyTexts()
-        self.last: _Snapshot | None = None  # the last snapshot whose fragments are kept
-        self.fragments: list[str] = []
-        self.positions: dict[str, int] = {}  # key -> index in fragments
 
     def text(self, value: Any) -> str:
         """json's text of a scalar."""
         return self.texts[value] if type(value) in (str, float) else _encode(value)
+
+    def spell(self, value: Any, indent: str) -> str:
+        """json's text of `value` as an item at `indent`."""
+        if not isinstance(value, (dict, list, tuple)):
+            return self.text(value)
+        parts: list[str] = []
+        _Emitter(parts.append).emit(value, indent)
+        return "".join(parts)
+
+    def template(self, names: Iterable[str], indent: str) -> str:
+        """A %-template of a dict at `indent` whose keys are `names`, in that order."""
+        inner = indent + "  "
+        heads = [self.keys[name].replace("%", "%%") + "%s" for name in names]
+        return "{\n" + inner + (",\n" + inner).join(heads) + "\n" + indent + "}"
+
+    def records(self, items: list[dict], indent: str) -> str | None:
+        """The texts of `items`, dicts at `indent`, joined, when they share one
+        nonempty key set and hold only scalars; else None."""
+        keys = items[0].keys()
+        if not keys or not all(map(keys.__eq__, map(dict.keys, items))):
+            return None
+        names = _names(items[0])
+        texts = []
+        for name in names:
+            column = [item[name] for item in items]
+            kinds = set(map(type, column))
+            if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+                return None
+            texts.append(map(self.texts.__getitem__ if kinds <= {str, float} else self.text,
+                             column))
+        template = self.template(names, indent)
+        return (",\n" + indent).join(map(template.__mod__, zip(*texts)))
 
     def emit(self, value: Any, indent: str) -> None:
         if not isinstance(value, (dict, list, tuple)) or not value:
@@ -184,18 +181,8 @@ class _Emitter:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        if isinstance(value, _Snapshot) and value.base is not None and value.base is self.last:
-            fragments = self.respell(value)
-            if fragments is not None:  # three writes: the body is too large to copy again
-                self.write("{\n" + inner)
-                self.write(sep.join(fragments))
-                self.write("\n" + indent + "}")
-                return
         if isinstance(value, dict):
-            try:
-                names = sorted(value)
-            except TypeError:  # unorderable keys, so at least one is not a str
-                names = [k for k in value if not isinstance(k, str)]
+            names = _names(value)
             heads = list(map(self.keys.__getitem__, names))  # refuses a non-str key
             values = list(map(value.__getitem__, names))
             opening, closing = "{\n", "}"
@@ -204,47 +191,23 @@ class _Emitter:
             values = value
             opening, closing = "[\n", "]"
         kinds = set(map(type, values))
-        if float in kinds and kinds <= {str, float}:  # ledger snapshots, channel terms
+        if float in kinds and kinds <= {str, float}:  # ledgers, channel weights
             texts = map(self.texts.__getitem__, values)
-            if heads is None:
-                items = sep.join(texts)
-            else:
-                fragments = list(map(str.__add__, heads, texts))
-                items = sep.join(fragments)
-                if isinstance(value, _Snapshot) and value.changed is not None:
-                    self.last, self.fragments = value, fragments
-                    self.positions = dict(zip(names, range(len(names))))
+            items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
         elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-            lead = opening + inner
-            for head, item in zip(heads or repeat(""), values):
-                self.write(lead + head)
-                self.emit(item, inner)
-                lead = sep
-            self.write("\n" + indent + closing)
-            return
+            records = heads is None and all(issubclass(kind, dict) for kind in kinds)
+            items = self.records(values, inner) if records else None
+            if items is None:
+                lead = opening + inner
+                for head, item in zip(heads or repeat(""), values):
+                    self.write(lead + head)
+                    self.emit(item, inner)
+                    lead = sep
+                self.write("\n" + indent + closing)
+                return
         else:
             items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
         self.write(opening + inner + items + "\n" + indent + closing)
-
-    def respell(self, snapshot: _Snapshot) -> list[str] | None:
-        """The fragments of `snapshot`, chained onto the last one written,
-        from that one's fragments and its changed entries; None if one of
-        those entries is a container."""
-        changed = snapshot.changed
-        values = list(map(snapshot.__getitem__, changed))
-        if any(isinstance(v, (dict, list, tuple)) for v in values):
-            return None
-        positions = self.positions
-        if not all(map(positions.__contains__, changed)):  # a new string: rebuild the order
-            order = sorted(snapshot)
-            old = self.fragments
-            self.fragments = [old[positions[k]] if k in positions else "" for k in order]
-            self.positions = positions = dict(zip(order, range(len(order))))
-        fragments = self.fragments
-        for key, value in zip(changed, values):
-            fragments[positions[key]] = self.keys[key] + self.text(value)
-        self.last = snapshot
-        return fragments
 
 
 def write_json(data: Any, path: str | os.PathLike) -> None:
@@ -345,28 +308,17 @@ def load_channel(path: str | os.PathLike) -> PauliChannel:
     return channel_from_dict(data)
 
 
-def _snapshots(steps: Iterable[EncodingStep]) -> Iterator[_Snapshot]:
-    """Each step's ledger keyed by text, from one running ledger that takes
-    each step's changes; a step not chained onto the one before replays.
-    Each snapshot records the texts it took and, when its step is chained
-    onto the one before, the snapshot before it."""
-    ledger: dict[str, float] = {}
-    before = snapshot = None
+def _changes(steps: Iterable[EncodingStep]) -> Iterator[tuple[EncodingStep, bool, list]]:
+    """Each step, whether it is chained onto the step before, and the (text,
+    residue) entries it sets: its changes if chained, else its whole ledger."""
+    before = None
     for step in steps:
-        if step.previous is before:
-            changes, base = step.changes, snapshot
-        else:
-            ledger = {}
-            changes, base = step.residues, None
-        entries = [(p.text, r) for p, r in changes]
-        ledger.update(entries)
-        snapshot = _Snapshot(ledger)
-        snapshot.base, snapshot.changed = base, tuple(text for text, _ in entries)
-        yield snapshot
+        chained = before is not None and step.previous is before
+        yield step, chained, [(p.text, r) for p, r in (step.changes if chained else step.residues)]
         before = step
 
 
-def encoding_to_dict(result: EncodingResult) -> dict:
+def _encoding_dict(result: EncodingResult, steps: Any) -> dict:
     return {
         "mode": result.mode,
         "stop_reason": result.stop_reason,
@@ -375,14 +327,61 @@ def encoding_to_dict(result: EncodingResult) -> dict:
         "encoded_mass": result.encoded_mass,
         "max_residue": result.max_residue,
         "min_residue": result.min_residue,
-        "steps": [
-            {"iteration": s.iteration, "node": s.node.text, "mass": s.mass, "residues": snapshot}
-            for s, snapshot in zip(result.steps, _snapshots(result.steps))
-        ],
+        "steps": steps,
         "residues": {s.text: r for s, r in result.residues.items()},
         "target": channel_to_dict(result.target),
         "noise": channel_to_dict(result.noise),
     }
+
+
+def encoding_to_dict(result: EncodingResult) -> dict:
+    steps = []
+    for s, chained, entries in _changes(result.steps):
+        ledger = {**ledger, **dict(entries)} if chained else dict(entries)
+        steps.append({"iteration": s.iteration, "node": s.node.text, "mass": s.mass,
+                      "residues": ledger})
+    return _encoding_dict(result, steps)
+
+
+def write_encoding(result: EncodingResult, path: str | os.PathLike) -> None:
+    """Write `result` as write_json(encoding_to_dict(result), path) does, copying no ledger."""
+    fields = _encoding_dict(result, result.steps)
+    with _atomic_open(path) as fh:
+        emitter = _Emitter(fh.write)
+        lead = "{\n  "
+        for name in sorted(fields):
+            fh.write(lead + emitter.keys[name])
+            if name == "steps":
+                _write_steps(emitter, result.steps)
+            else:
+                emitter.emit(fields[name], "  ")
+            lead = ",\n  "
+        fh.write("\n}\n")
+
+
+def _write_steps(emitter: _Emitter, steps: tuple[EncodingStep, ...]) -> None:
+    """An encoding's steps as write_json writes them at the document's second level."""
+    write, keys, spell, text = emitter.write, emitter.keys, emitter.spell, emitter.text
+    head, tail = emitter.template(("iteration", "mass", "node", "residues"), "    ").rsplit("%s", 1)
+    lead = "[\n    "
+    for step, chained, entries in _changes(steps):
+        if not chained:  # the ledger's `"key": value` texts in key order, and their indices
+            fragments, positions = [], {}
+        added = {key for key, _ in entries if key not in positions}
+        if added:
+            spelled = dict(zip(positions, fragments))
+            order = sorted([*positions, *added])
+            fragments = list(map(spelled.get, order))
+            positions = dict(zip(order, range(len(order))))
+        for key, value in entries:
+            fragments[positions[key]] = keys[key] + spell(value, "        ")
+        opening = "{\n        " if fragments else "{}"
+        write(lead + head % (text(step.iteration), text(step.mass), text(step.node.text)) + opening)
+        if fragments:  # written apart: the body is too large to copy again
+            write(",\n        ".join(fragments))
+        write(("\n      }" if fragments else "") + tail)
+        lead = ",\n    "
+    write("\n  ]" if steps else "[]")
 
 
 def cluster_to_dict(cluster: Cluster) -> dict:

@@ -6,7 +6,8 @@ Two exact identities must survive floating-point execution:
   decomposition    target(s) == residue(s) + effective(s)   for s != identity
 
 The audits measure the defect of each and raise InvariantViolation when it
-exceeds the tolerance, which the command line maps to its own exit code.
+exceeds the tolerance or is NaN, which the command line maps to its own
+exit code. Each compares as `not defect <= tolerance`, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ class InvariantViolation(Exception):
 
 
 def check_conservation(result: EncodingResult) -> float:
-    """Return |fsum(residues) + encoded_mass - 1|, raising above CONSERVATION_ATOL."""
-    defect = abs(
-        math.fsum(list(result.residues.values()) + [result.encoded_mass]) - 1.0
-    )
-    if defect > CONSERVATION_ATOL:
+    """Return |fsum(residues) + encoded_mass - 1|, raising above CONSERVATION_ATOL or on NaN."""
+    try:
+        defect = abs(math.fsum([*result.residues.values(), result.encoded_mass]) - 1.0)
+    except (OverflowError, ValueError):  # the sum overflows, or holds both +inf and -inf
+        defect = math.nan
+    if not defect <= CONSERVATION_ATOL:
         raise InvariantViolation(
             f"residues plus encoded mass differ from 1 by {defect:.3e} "
             f"(atol {CONSERVATION_ATOL:.1e})"
@@ -45,7 +47,8 @@ def check_conservation(result: EncodingResult) -> float:
 
 
 def check_decomposition(result: EncodingResult, effective: PauliChannel | None = None) -> float:
-    """Return max_s |target(s) - residue(s) - effective(s)| over s != identity.
+    """Return max_s |target(s) - residue(s) - effective(s)| over s != identity,
+    or NaN if any of them is NaN.
 
     `effective` is the realized channel, built when not given. The identity
     string is excluded: it absorbs the unscheduled remainder, which is
@@ -60,8 +63,12 @@ def check_decomposition(result: EncodingResult, effective: PauliChannel | None =
     realized = {s.x_mask | s.z_mask << n: w for w, s in effective.terms}
     defect = 0.0
     for k in (target.keys() | residues.keys() | realized.keys()) - {0}:
-        defect = max(defect, abs(target.get(k, 0.0) - residues.get(k, 0.0) - realized.get(k, 0.0)))
-    if defect > CONSERVATION_ATOL:
+        gap = abs(target.get(k, 0.0) - residues.get(k, 0.0) - realized.get(k, 0.0))
+        if not gap <= defect:  # larger, or NaN
+            defect = gap
+            if math.isnan(gap):
+                break  # no later gap may replace it
+    if not defect <= CONSERVATION_ATOL:
         raise InvariantViolation(
             f"target/residue/effective decomposition off by {defect:.3e} "
             f"(atol {CONSERVATION_ATOL:.1e})"

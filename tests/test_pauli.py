@@ -49,6 +49,19 @@ def test_parse_equals_the_string_built_from_masks(text):
     assert p.text == s.text == text and repr(p) == repr(s)
 
 
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(*[st.text(alphabet="IXYZ", min_size=n,
+                                                                 max_size=n)] * 2)))
+@settings(max_examples=300)
+def test_equal_strings_hash_equal_however_built(pair):
+    a, b = map(parse, pair)
+    product = multiply(a, b).string
+    built = PauliString(a.n_qubits, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask)
+    parsed = parse(text_oracle(a.n_qubits, built.x_mask, built.z_mask))
+    assert product == built == parsed
+    assert hash(product) == hash(built) == hash(parsed) == hash(parsed.text)
+    assert len({product, built, parsed}) == 1
+
+
 def test_replace_respells_and_text_cannot_be_assigned():
     s = parse("XYZI")
     assert dataclasses.replace(s, x_mask=0).text == "IZZI"

@@ -1,10 +1,8 @@
-import copy
 import csv
 import io
 import json
 import math
 import os
-import pickle
 import tracemalloc
 from collections import OrderedDict, namedtuple
 
@@ -45,6 +43,7 @@ from noisim.serialize import (
     sample_rows,
     save_channel,
     write_csv,
+    write_encoding,
     write_json,
 )
 
@@ -98,7 +97,9 @@ def test_write_json_is_stable(tmp_path):
 
 
 # keys with quotes, backslashes, control and non-ASCII characters, beside arbitrary text
-json_keys = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "😀", ""])
+json_keys = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "😀", "", "%", "%s"]
+)
 json_floats = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2e-308, 1e16, 1e-7, math.nan, math.inf, -math.inf]
 )
@@ -135,7 +136,11 @@ json_values = st.recursive(
     | st.lists(st.dictionaries(memo_keys, memo_floats, min_size=1), min_size=2, max_size=5)
     | st.lists(st.lists(mixed_scalars, min_size=1, max_size=6), min_size=1, max_size=3)
     | st.lists(st.dictionaries(json_keys, mixed_scalars, min_size=1, max_size=6), min_size=1,
-               max_size=3),
+               max_size=3)
+    # dicts of scalars that share one key set, the emitter's one-template case
+    | st.lists(json_keys, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, mixed_scalars)),
+                              min_size=1, max_size=4)),
     max_leaves=20,
 )
 
@@ -157,6 +162,8 @@ def test_write_json_matches_json_dumps(tmp_path, value):
         [{"x": 0.1, "y": 2.5}, {"x": 0.1}, {"z": {"x": 0.1}}],
         [{"a": 1.5}, {"a": 1.5, "b": math.nan}, {"a": math.inf, "b": -math.inf}],
         {"steps": [{"k": 1.5}, {"k": 1.5}], "k": [1.5, 0.0, -0.0, 1.5]},
+        [{"%s": 0.5, "b": True, "c": "x"}, {"b": None, "c": -0.0, "%s": 1}],
+        [{"a": 1.5}, DictSubclass(a=-0.0), OrderedDict(a="z")],
     ],
 )
 def test_memoized_texts_match_json_dumps(tmp_path, value):
@@ -307,6 +314,12 @@ def _written(value, tmp_path):
     return path.read_text()
 
 
+def _encoding_bytes(result, tmp_path):
+    path = tmp_path / "e.json"
+    write_encoding(result, path)
+    return path.read_bytes()
+
+
 def _result(steps):
     return EncodingResult(
         mode="fixed",
@@ -336,8 +349,10 @@ def _ledger(entries):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_encoding_json_is_json_dumps_byte_for_byte(tmp_path, channels, mode):
     target, noise, node = channels
-    data = encoding_to_dict(encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40))
+    result = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
+    data = encoding_to_dict(result)
     assert _written(data, tmp_path) == _dumps(data)
+    assert _encoding_bytes(result, tmp_path) == _dumps(data).encode()
 
 
 _first = EncodingStep(0, parse("XZ"), 0.1, _ledger({"ZZ": 0.05, "XZ": 0.0}))
@@ -359,54 +374,45 @@ _first = EncodingStep(0, parse("XZ"), 0.1, _ledger({"ZZ": 0.05, "XZ": 0.0}))
         _chain({"XZ": 1.0, "ZZ": 1}, {"XZ": 1}, {"XZ": True, "ZZ": 0.5}, {"XZ": 1.0}, {"ZZ": 1}),
         # a residue that is a container, then a float again
         _chain({"XZ": 0.5, "ZZ": 0.25}, {"XZ": [0.5, -0.0]}, {"XZ": 0.5}, {"ZZ": 0.125}),
+        [],
+        # steps with empty ledgers, chained and not, around one with an entry
+        [*_chain({}, {}, {"XZ": 0.5}), EncodingStep(3, parse("XZ"), 0.1, ())],
     ],
-    ids=["unchained", "new-strings", "signed-zeros", "int-and-bool", "container"],
+    ids=["unchained", "new-strings", "signed-zeros", "int-and-bool", "container", "no-steps",
+         "empty-ledger"],
 )
 def test_hand_built_encodings_write_as_json_dumps(tmp_path, steps):
-    data = encoding_to_dict(_result(steps))
+    result = _result(steps)
+    data = encoding_to_dict(result)
     assert [s["residues"] for s in data["steps"]] == [
         {p.text: r for p, r in step.residues} for step in steps
     ]
     assert _written(data, tmp_path) == _dumps(data)
+    assert _encoding_bytes(result, tmp_path) == _dumps(data).encode()
 
 
-def test_snapshots_write_as_json_dumps_wherever_they_are_placed(tmp_path):
-    steps = _chain({"XZ": 0.5, "ZZ": 0.25}, {"XZ": -0.0}, {"IY": 0.125}, {"XZ": 0.0})
-    a, b, c, d = (s["residues"] for s in encoding_to_dict(_result(steps))["steps"])
-    for doc in ([b, b, a, b, c], [a, b, {"x": c}, c, [d]], [c, a, c, b, c, d], {"k": [a, a, b]}):
-        assert _written(doc, tmp_path) == _dumps(doc)
-    assert json.dumps(c, sort_keys=True) == '{"IY": 0.125, "XZ": -0.0, "ZZ": 0.25}'
-    # copies are plain dicts equal to the snapshot
-    for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b)), dict(b)):
-        assert type(twin) is dict and twin == b
-    # a mutated snapshot, and any chained onto it, is written as it now reads
-    b["ZZ"] = -0.0
-    c.update(XZ=1)
-    for doc in ([a, b, c, d], [a, c, d], [a, b, d]):
-        assert _written(doc, tmp_path) == _dumps(doc)
-    del a["ZZ"]
-    assert _written([a, b, c, d], tmp_path) == _dumps([a, b, c, d])
-
-
-def _snapshot_reads(result, tmp_path):
-    """Snapshot entries read while writing `result`, and the entries of
-    every whole snapshot plus every step's changes."""
+def _spelled_entries(result, tmp_path):
+    """Ledger entries spelled while `write_encoding` writes `result`, and the
+    entries of every unchained step's snapshot plus every step's changes."""
     data = encoding_to_dict(result)
     whole = sum(
         len(written["residues"])
         for step, before, written in zip(result.steps, (None,) + result.steps, data["steps"])
         if step.previous is not before
     )
-    reads = []
+    spelled = []
+    spell = serialize._Emitter.spell
 
-    def counting_read(snapshot, key):
-        reads.append(key)
-        return dict.__getitem__(snapshot, key)
+    def counting_spell(emitter, value, indent):
+        spelled.append(value)
+        return spell(emitter, value, indent)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(serialize._Snapshot, "__getitem__", counting_read)
-        _written(data, tmp_path)
-    return len(reads), whole + sum(len(step.changes) for step in result.steps)
+        # write_encoding spells each ledger entry's value through spell, and nothing else
+        patch.setattr(serialize._Emitter, "spell", counting_spell)
+        write_encoding(result, tmp_path / "e.json")
+    assert (tmp_path / "e.json").read_text() == _dumps(data)
+    return len(spelled), whole + sum(len(step.changes) for step in result.steps)
 
 
 @given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]))
@@ -415,21 +421,40 @@ def _snapshot_reads(result, tmp_path):
 def test_writing_an_encoding_spells_only_each_steps_changes(tmp_path, channels, mode):
     target, noise, node = channels
     result = encode(target, noise, mode=mode, node=node, tol=0.0, max_iters=40)
-    reads, bound = _snapshot_reads(result, tmp_path)
-    assert reads <= bound
+    spelled, bound = _spelled_entries(result, tmp_path)
+    assert spelled <= bound
+
+
+def _long_encoding():
+    """133 steps over a ledger of 409 strings."""
+    rng = np.random.default_rng(7)
+    target = PauliChannel(random_channel_terms(rng, 6, max_terms=300, identity_weight=0.9))
+    noise = PauliChannel(random_channel_terms(rng, 6, max_terms=6, identity_weight=0.3))
+    return encode(target, noise, tol=0.0, max_iters=400)
 
 
 def test_a_long_encoding_reads_far_fewer_entries_than_its_snapshots_hold(tmp_path):
-    rng = np.random.default_rng(7)
-    target = PauliChannel(random_channel_terms(rng, 5, max_terms=200, identity_weight=0.9))
-    noise = PauliChannel(random_channel_terms(rng, 5, max_terms=4, identity_weight=0.5))
-    result = encode(target, noise, tol=0.0, max_iters=60)
-    reads, bound = _snapshot_reads(result, tmp_path)
-    assert reads <= bound < sum(len(step.residues) for step in result.steps) / 5
+    result = _long_encoding()
+    spelled, bound = _spelled_entries(result, tmp_path)
+    assert spelled <= bound < sum(len(step.residues) for step in result.steps) / 5
     # chained onto a step that is not written just before it, each step is spelled whole
     unchained = _result(result.steps[::-1])
-    reads, bound = _snapshot_reads(unchained, tmp_path)
-    assert reads == sum(len(step.residues) for step in unchained.steps)
+    spelled, bound = _spelled_entries(unchained, tmp_path)
+    assert spelled == sum(len(step.residues) for step in unchained.steps)
+
+
+def test_writing_a_long_encoding_holds_no_copy_of_its_snapshots(tmp_path):
+    result = _long_encoding()
+    path = tmp_path / "e.json"
+    tracemalloc.start()
+    try:
+        write_encoding(result, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the ledger's texts and the channels' dicts, against 133 snapshots of the ledger
+    assert peak < path.stat().st_size / 4
+    assert path.read_text() == _dumps(encoding_to_dict(result))
 
 
 def test_cluster_and_certificate_dicts():
