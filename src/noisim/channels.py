@@ -43,6 +43,12 @@ EIGENVALUE_FLOOR = -1e-9
 WEIGHT_SUM_ATOL = 1e-12
 
 
+def _check_basis_label(label: str) -> None:
+    """Refuse a basis label that is not a nonempty string of 0s and 1s."""
+    if not label or set(label) - {"0", "1"}:
+        raise ValueError(f"basis label must be a bitstring, got {label!r}")
+
+
 class DensityMatrix:
     """A validated quantum state.
 
@@ -85,8 +91,7 @@ class DensityMatrix:
     @classmethod
     def from_basis_label(cls, label: str) -> "DensityMatrix":
         """Computational basis state |label><label|, site 1 leftmost."""
-        if not label or set(label) - {"0", "1"}:
-            raise ValueError(f"basis label must be a bitstring, got {label!r}")
+        _check_basis_label(label)
         _check_dense_size(len(label), "state", MATRIX_QUBIT_CAP)
         dim = 2 ** len(label)
         arr = np.zeros((dim, dim), dtype=complex)

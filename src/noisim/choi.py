@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _pauli_map
+from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _check_basis_label, _pauli_map
 from .pauli import PauliString, _check_dense_size, monomial
 
 __all__ = [
@@ -200,8 +200,7 @@ def theorem1_check(
             raise ValueError(f"dimension mismatch: channels {d}, state {state.dim}")
         state = _closed_form_state(state)
     elif state != "mixed":
-        if not state or set(state) - {"0", "1"}:
-            raise ValueError(f"basis label must be a bitstring, got {state!r}")
+        _check_basis_label(state)
         if len(state) != n:
             raise ValueError(
                 f"basis label {state!r} has {len(state)} qubits, but the channels act on {n}"

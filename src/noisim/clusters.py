@@ -89,13 +89,13 @@ def analyze_cluster(
     """Orbit plus its branching/cluster dimensions and leakage entropy."""
     node = parse(node) if isinstance(node, str) else node
     n = node.n_qubits
-    start = node.x_mask | node.z_mask << n
+    start = node.key
     vectors = []
     for g in generators:
         g = parse(g) if isinstance(g, str) else g
         if g.n_qubits != n:
             raise ValueError(f"generator {g.text} acts on {g.n_qubits} qubits, node on {n}")
-        vectors.append(g.x_mask | g.z_mask << n)
+        vectors.append(g.key)
     basis: list[int] = []
     for v in vectors:
         for b in basis:

@@ -12,7 +12,7 @@ term Q. So
 
 holds throughout (weights of both channels sum to one).
 
-Inside the loop a string is its packed key x | z << n, key 0 the identity.
+Inside the loop a string is its packed key (`PauliString.key`), key 0 the identity.
 Phases dropped, a product is one XOR (Aaronson and Gottesman, PRA 70,
 052328 (2004)); the fixed rule's image table (w(Q), Q ^ node) is built once
 per run. A key -> PauliString memo, seeded with the target's strings, builds
@@ -237,9 +237,9 @@ def encode(
     """
     _check_inputs(target, noise, tol, max_iters)
     n = target.n_qubits
-    strings = {s.x_mask | s.z_mask << n: s for _, s in target.terms}
+    strings = {s.key: s for _, s in target.terms}
     ledger = {k: w for k, (w, _) in zip(strings, target.terms)}
-    noise_keys = [(w, q.x_mask | q.z_mask << n) for w, q in noise.terms]
+    noise_keys = [(w, q.key) for w, q in noise.terms]
     if mode == "fixed":
         if node is None:
             raise ValueError("fixed encoding needs a node string")
@@ -248,7 +248,7 @@ def encode(
             raise ValueError(f"node acts on {node.n_qubits} qubits, target on {n}")
         if node.is_identity():
             raise ValueError("node must not be the identity string")
-        node_key = node.x_mask | node.z_mask << n
+        node_key = node.key
         strings.setdefault(node_key, node)
         table = _images(noise_keys, node_key)
         images = [k for _, k in table if k]
@@ -357,11 +357,11 @@ def effective_channel(result: EncodingResult) -> PauliChannel:
     """
     n = result.target.n_qubits
     # the ledger holds every image, so their strings are taken from it
-    strings = {s.x_mask | s.z_mask << n: s for s in result.residues}
-    noise = [(w, q.x_mask | q.z_mask << n) for w, q in result.noise.terms]
+    strings = {s.key: s for s in result.residues}
+    noise = [(w, q.key) for w, q in result.noise.terms]
     contribs: dict[int, list[float]] = {}
     for step in result.steps:
-        for w, image in _images(noise, step.node.x_mask | step.node.z_mask << n):
+        for w, image in _images(noise, step.node.key):
             contribs.setdefault(image, []).append(step.mass * w)
     terms = [(math.fsum(parts), _string(strings, n, k)) for k, parts in contribs.items()]
     total = math.fsum(w for w, _ in terms)

@@ -6,6 +6,7 @@ Conventions used throughout the package:
   form and the most significant Kronecker factor of the dense matrix.
 * A string is stored as a pair of masks; bit q-1 addresses qubit q. A set
   x bit contributes an X factor, a set z bit a Z factor, both set mean Y.
+  Its packed key x | z << n is one int per string; key 0 is the identity.
 * Multiplication phases are one of {+1, +i, -1, -i} and are tracked exactly
   (no floating-point phase arithmetic).
 """
@@ -72,12 +73,13 @@ class PauliParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class PauliString:
-    """An unphased n-qubit Pauli string; its text is spelled once, when it is built."""
+    """An unphased n-qubit Pauli string; its text and key are set once, when it is built."""
 
     n_qubits: int
     x_mask: int
     z_mask: int
     text: str = field(init=False, repr=False, compare=False)
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
@@ -97,6 +99,7 @@ class PauliString:
             z >>= 4
             left -= 4
         object.__setattr__(self, "text", text[: self.n_qubits])
+        object.__setattr__(self, "key", self.x_mask | self.z_mask << self.n_qubits)
 
     def __hash__(self) -> int:
         # the text is a function of (n_qubits, x_mask, z_mask), so equal strings hash equal
@@ -142,11 +145,13 @@ def parse(text: str) -> PauliString:
     # qubit 1 is the lowest mask bit, so the mask's binary digits run last letter first
     digits = text[::-1]
     # the masks are in range by construction; the checked text is kept, not spelled again
+    x, z = int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
     s, set_ = object.__new__(PauliString), object.__setattr__
     set_(s, "n_qubits", len(text))
-    set_(s, "x_mask", int(digits.translate(_X_DIGITS), 2))
-    set_(s, "z_mask", int(digits.translate(_Z_DIGITS), 2))
+    set_(s, "x_mask", x)
+    set_(s, "z_mask", z)
     set_(s, "text", text)
+    set_(s, "key", x | z << len(text))
     return s
 
 

@@ -11,14 +11,14 @@ and benchmark_rows and sample_rows yield one row at a time, so a benchmark
 run holds its occupation arrays, not a dict per row.
 
 JSON is written by one emitter whose output equals
-json.dumps(indent=2, sort_keys=True). It streams into the temp file: a
-container of floats, or of floats and strs, joins memoized texts; a list of
-dicts that share one key set and hold only scalars (channel terms,
+json.dumps(indent=2, sort_keys=True). It streams into the temp file, and a
+container takes one of four paths: an empty one is spelled like a scalar; a
+list of dicts that share one key set and hold only scalars (channel terms,
 certificate checks) fills one template per list; any other container of
-scalars is one call of json's C encoder, and a container of containers
-writes its items as it goes, so the document is never held as one string.
-Float, str and quoted-key texts are memoized per document; zeros are not,
-since 0.0 == -0.0 but their texts differ.
+scalars is one call of json's C encoder; a container of containers writes
+its items as it goes, so the document is never held as one string. A
+scalar's text is a function of its value alone; the only memo is the
+document's quoted `"key": ` texts.
 
 write_encoding copies no step's ledger. It keeps one list of the ledger's
 `"key": value` texts in key order, re-spells the entries each step changed
@@ -89,25 +89,14 @@ def _atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
         raise
 
 
-# json's text of a bare scalar, an empty container or a non-finite float
 _encode = json.JSONEncoder().encode
 
 
-class _ScalarTexts(dict):
-    """Texts of one document's strs and floats, keyed by value.
-
-    Only exact strs and floats may be looked up: 1 == 1.0 == True as keys.
-    Zeros are not kept: 0.0 == -0.0, but their texts differ.
-    """
-
-    def __missing__(self, value: str | float) -> str:
-        if type(value) is str:
-            text = self[value] = encode_basestring_ascii(value)
-            return text
-        text = float.__repr__(value) if math.isfinite(value) else _encode(value)
-        if value:
-            self[value] = text
-        return text
+def _text(value: Any) -> str:
+    """json's text of a scalar or an empty container."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _encode(value)
 
 
 class _KeyTexts(dict):
@@ -136,17 +125,12 @@ class _Emitter:
 
     def __init__(self, write: Callable[[str], Any]) -> None:
         self.write = write
-        self.texts = _ScalarTexts()
         self.keys = _KeyTexts()
-
-    def text(self, value: Any) -> str:
-        """json's text of a scalar."""
-        return self.texts[value] if type(value) in (str, float) else _encode(value)
 
     def spell(self, value: Any, indent: str) -> str:
         """json's text of `value` as an item at `indent`."""
         if not isinstance(value, (dict, list, tuple)):
-            return self.text(value)
+            return _text(value)
         parts: list[str] = []
         _Emitter(parts.append).emit(value, indent)
         return "".join(parts)
@@ -167,17 +151,15 @@ class _Emitter:
         texts = []
         for name in names:
             column = [item[name] for item in items]
-            kinds = set(map(type, column))
-            if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+            if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, column))):
                 return None
-            texts.append(map(self.texts.__getitem__ if kinds <= {str, float} else self.text,
-                             column))
+            texts.append(map(_text, column))
         template = self.template(names, indent)
         return (",\n" + indent).join(map(template.__mod__, zip(*texts)))
 
     def emit(self, value: Any, indent: str) -> None:
         if not isinstance(value, (dict, list, tuple)) or not value:
-            self.write(self.text(value))
+            self.write(_text(value))
             return
         inner = indent + "  "
         sep = ",\n" + inner
@@ -191,10 +173,7 @@ class _Emitter:
             values = value
             opening, closing = "[\n", "]"
         kinds = set(map(type, values))
-        if float in kinds and kinds <= {str, float}:  # ledgers, channel weights
-            texts = map(self.texts.__getitem__, values)
-            items = sep.join(texts if heads is None else map(str.__add__, heads, texts))
-        elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
             records = heads is None and all(issubclass(kind, dict) for kind in kinds)
             items = self.records(values, inner) if records else None
             if items is None:
@@ -335,6 +314,8 @@ def _encoding_dict(result: EncodingResult, steps: Any) -> dict:
 
 
 def encoding_to_dict(result: EncodingResult) -> dict:
+    """`result` with every step's whole ledger. To write it, call write_encoding:
+    write_json of this dict spells each ledger whole, several times slower."""
     steps = []
     for s, chained, entries in _changes(result.steps):
         ledger = {**ledger, **dict(entries)} if chained else dict(entries)
@@ -361,7 +342,7 @@ def write_encoding(result: EncodingResult, path: str | os.PathLike) -> None:
 
 def _write_steps(emitter: _Emitter, steps: tuple[EncodingStep, ...]) -> None:
     """An encoding's steps as write_json writes them at the document's second level."""
-    write, keys, spell, text = emitter.write, emitter.keys, emitter.spell, emitter.text
+    write, keys, spell = emitter.write, emitter.keys, emitter.spell
     head, tail = emitter.template(("iteration", "mass", "node", "residues"), "    ").rsplit("%s", 1)
     lead = "[\n    "
     for step, chained, entries in _changes(steps):
@@ -376,7 +357,7 @@ def _write_steps(emitter: _Emitter, steps: tuple[EncodingStep, ...]) -> None:
         for key, value in entries:
             fragments[positions[key]] = keys[key] + spell(value, "        ")
         opening = "{\n        " if fragments else "{}"
-        write(lead + head % (text(step.iteration), text(step.mass), text(step.node.text)) + opening)
+        write(lead + head % (_text(step.iteration), _text(step.mass), _text(step.node.text)) + opening)
         if fragments:  # written apart: the body is too large to copy again
             write(",\n        ".join(fragments))
         write(("\n      }" if fragments else "") + tail)

@@ -3,6 +3,7 @@
 Two exact identities must survive floating-point execution:
 
   conservation     fsum(residues) + encoded_mass == 1
+                   fsum(step masses) == encoded_mass
   decomposition    target(s) == residue(s) + effective(s)   for s != identity
 
 The audits measure the defect of each and raise InvariantViolation when it
@@ -33,16 +34,21 @@ class InvariantViolation(Exception):
 
 
 def check_conservation(result: EncodingResult) -> float:
-    """Return |fsum(residues) + encoded_mass - 1|, raising above CONSERVATION_ATOL or on NaN."""
+    """Return |fsum(residues) + encoded_mass - 1|, raising above CONSERVATION_ATOL or on NaN.
+
+    It also raises when the step masses do not sum to encoded_mass (encode
+    makes the two equal bit for bit), so a corrupt step fails here, before
+    any realized channel is built from it.
+    """
     try:
+        drift = abs(math.fsum(step.mass for step in result.steps) - result.encoded_mass)
         defect = abs(math.fsum([*result.residues.values(), result.encoded_mass]) - 1.0)
-    except (OverflowError, ValueError):  # the sum overflows, or holds both +inf and -inf
-        defect = math.nan
-    if not defect <= CONSERVATION_ATOL:
-        raise InvariantViolation(
-            f"residues plus encoded mass differ from 1 by {defect:.3e} "
-            f"(atol {CONSERVATION_ATOL:.1e})"
-        )
+    except (OverflowError, ValueError):  # a sum overflows, or holds both +inf and -inf
+        drift = defect = math.nan
+    for gap, what in ((drift, "step masses differ from the encoded mass"),
+                      (defect, "residues plus encoded mass differ from 1")):
+        if not gap <= CONSERVATION_ATOL:
+            raise InvariantViolation(f"{what} by {gap:.3e} (atol {CONSERVATION_ATOL:.1e})")
     return defect
 
 
@@ -56,11 +62,10 @@ def check_decomposition(result: EncodingResult, effective: PauliChannel | None =
     """
     if effective is None:
         effective = effective_channel(result)
-    n = result.target.n_qubits
-    # per packed key x | z << n; key 0 is the identity
-    target = {s.x_mask | s.z_mask << n: w for w, s in result.target.terms}
-    residues = {s.x_mask | s.z_mask << n: r for s, r in result.residues.items()}
-    realized = {s.x_mask | s.z_mask << n: w for w, s in effective.terms}
+    # per packed key; key 0 is the identity
+    target = {s.key: w for w, s in result.target.terms}
+    residues = {s.key: r for s, r in result.residues.items()}
+    realized = {s.key: w for w, s in effective.terms}
     defect = 0.0
     for k in (target.keys() | residues.keys() | realized.keys()) - {0}:
         gap = abs(target.get(k, 0.0) - residues.get(k, 0.0) - realized.get(k, 0.0))

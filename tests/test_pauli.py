@@ -60,12 +60,15 @@ def test_equal_strings_hash_equal_however_built(pair):
     assert product == built == parsed
     assert hash(product) == hash(built) == hash(parsed) == hash(parsed.text)
     assert len({product, built, parsed}) == 1
+    # the packed key x | z << n, however the string was built
+    assert product.key == built.key == parsed.key == built.x_mask | built.z_mask << a.n_qubits
 
 
 def test_replace_respells_and_text_cannot_be_assigned():
     s = parse("XYZI")
     assert dataclasses.replace(s, x_mask=0).text == "IZZI"
     assert dataclasses.replace(s, n_qubits=5).text == "XYZII"
+    assert dataclasses.replace(s, n_qubits=5).key == s.x_mask | s.z_mask << 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.text = "IIII"
     assert s.text == "XYZI" and repr(s) == "PauliString('XYZI')"

@@ -107,11 +107,11 @@ json_scalars = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**100)])
     | json_floats | json_keys
 )
-# keys and values shared across the maps of one document, so both memos hit
+# keys and values shared across the maps of one document, so the key memo hits
 memo_keys = st.sampled_from(["a", "b", "é", "XZ"])
 memo_floats = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, 0.1 + 0.2, math.nan, math.inf])
 # every kind of scalar in one flat container, json's C-encoder case; np.float64 is a float
-# subclass, so it never takes the floats-only join
+# subclass, spelled by json rather than by float.__repr__
 mixed_scalars = (
     st.none() | st.booleans() | st.integers() | json_keys
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | json_floats.map(np.float64)
@@ -131,7 +131,7 @@ json_values = st.recursive(
     | st.dictionaries(json_keys, inner, max_size=4).map(OrderedDict)
     | st.dictionaries(json_keys, inner, max_size=4).map(DictSubclass)
     | st.builds(Pair, inner, inner)
-    # a dict of floats only, the emitter's one-join case
+    # a dict of floats only, a ledger's shape
     | st.dictionaries(json_keys, json_floats, min_size=1, max_size=6)
     | st.lists(st.dictionaries(memo_keys, memo_floats, min_size=1), min_size=2, max_size=5)
     | st.lists(st.lists(mixed_scalars, min_size=1, max_size=6), min_size=1, max_size=3)
@@ -332,11 +332,11 @@ def _result(steps):
     )
 
 
-def _chain(first, *changes):
+def _chain(first, *changes, mass=0.1):
     """Steps each chained onto the one before; the first holds a whole ledger."""
-    steps = [EncodingStep(0, parse("XZ"), 0.1, _ledger(first))]
+    steps = [EncodingStep(0, parse("XZ"), mass, _ledger(first))]
     for i, step_changes in enumerate(changes, 1):
-        steps.append(EncodingStep(i, parse("XZ"), 0.1, _ledger(step_changes), steps[-1]))
+        steps.append(EncodingStep(i, parse("XZ"), mass, _ledger(step_changes), steps[-1]))
     return steps
 
 
@@ -377,9 +377,15 @@ _first = EncodingStep(0, parse("XZ"), 0.1, _ledger({"ZZ": 0.05, "XZ": 0.0}))
         [],
         # steps with empty ledgers, chained and not, around one with an entry
         [*_chain({}, {}, {"XZ": 0.5}), EncodingStep(3, parse("XZ"), 0.1, ())],
+        # float subclasses, non-finite residues, and 1 == 1.0 == True in one ledger
+        _chain({"XZ": np.float64(0.5), "ZZ": np.float64(-0.0), "IY": math.nan, "YI": 1,
+                "ZX": 1.0, "XX": True},
+               {"IY": math.inf, "ZZ": -math.inf, "XZ": np.float64(1e-300)},
+               {"IY": np.float64(math.nan), "YI": 1.0, "ZX": True, "XX": 1},
+               mass=np.float64(1 / 3)),
     ],
     ids=["unchained", "new-strings", "signed-zeros", "int-and-bool", "container", "no-steps",
-         "empty-ledger"],
+         "empty-ledger", "unusual-scalars"],
 )
 def test_hand_built_encodings_write_as_json_dumps(tmp_path, steps):
     result = _result(steps)

@@ -71,7 +71,8 @@ corruptions = st.sampled_from([math.nan, math.inf, -math.inf]) | st.builds(
 
 
 @given(tie_heavy_encodings, st.sampled_from(["fixed", "adaptive"]),
-       st.sampled_from(["residue", "mass", "inf-pair"]), st.integers(0, 63), corruptions)
+       st.sampled_from(["residue", "mass", "step-mass", "inf-pair"]), st.integers(0, 63),
+       corruptions)
 @settings(max_examples=150, deadline=None)
 def test_every_corruption_fails_the_audits_and_exits_three(channels, mode, where, pick, shift):
     target, noise, node = channels
@@ -79,15 +80,19 @@ def test_every_corruption_fails_the_audits_and_exits_three(channels, mode, where
     residues = dict(result.residues)
     strings = list(residues)
     corrupted = strings[pick % len(strings)]
-    mass = result.encoded_mass
+    mass, steps = result.encoded_mass, list(result.steps)
     if where == "residue":
         residues[corrupted] += shift
     elif where == "mass":
         mass += shift
+    elif where == "step-mass":
+        assume(steps)
+        i = pick % len(steps)
+        steps[i] = dataclasses.replace(steps[i], mass=steps[i].mass + shift)
     else:  # fsum refuses a sum that holds both
         assume(len(strings) > 1)
         residues[strings[0]], residues[strings[-1]] = math.inf, -math.inf
-    broken = dataclasses.replace(result, residues=residues, encoded_mass=mass)
+    broken = dataclasses.replace(result, residues=residues, encoded_mass=mass, steps=tuple(steps))
     with pytest.raises(InvariantViolation):
         audit_encoding(broken)
     try:
