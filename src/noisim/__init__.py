@@ -28,7 +28,6 @@ from .dynamics import (
     evolve_occupations,
     run_benchmark,
     scale_channel_weights,
-    site_occupations,
     trotter_step_unitaries,
 )
 from .encoder import (
@@ -93,7 +92,6 @@ __all__ = [
     "run_trials",
     "scale_channel_weights",
     "schatten_norm",
-    "site_occupations",
     "theorem1_check",
     "trotter_step_unitaries",
     "__version__",

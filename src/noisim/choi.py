@@ -206,9 +206,7 @@ def theorem1_check(
                 f"basis label {state!r} has {len(state)} qubits, but the channels act on {n}"
             )
 
-    weights_b = {s: w for w, s in channel_b.terms}
-    delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}
-    delta_w.update((s, -w) for s, w in weights_b.items())
+    delta_w = _weight_differences(channel_a, channel_b)
     choi_dist = _p_norm(np.fromiter(delta_w.values(), dtype=float, count=len(delta_w)), p)
     # the closed forms of the module docstring; the dense path only for other states
     if state == "mixed":
@@ -254,6 +252,17 @@ def theorem1_check(
         renyi=renyi,
         checks=tuple(checks),
     )
+
+
+def _weight_differences(
+    channel_a: PauliChannel, channel_b: PauliChannel
+) -> dict[PauliString, float]:
+    """Dw = w_a - w_b over the union of the two supports: a's strings first, in
+    its order, then the strings only b holds."""
+    weights_b = {s: w for w, s in channel_b.terms}
+    delta_w = {s: w - weights_b.pop(s, 0.0) for w, s in channel_a.terms}
+    delta_w.update((s, -w) for s, w in weights_b.items())
+    return delta_w
 
 
 def _closed_form_state(rho: DensityMatrix) -> DensityMatrix | str:

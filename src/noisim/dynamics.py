@@ -8,10 +8,30 @@ with sp = [[0, 0], [1, 0]], so basis label bit 1 marks an excited site and
 the occupation of site q is the expectation of (I - Z_q)/2. Site 1 is the
 leftmost label character and the most significant Kronecker factor.
 
-A simulation step applies the step unitaries in order, then one round of
+A simulation step applies the step factors in order, then one round of
 the decoherence channel. Channel weights therefore play the role of
 per-step probabilities; halving dt while keeping a fixed physical
 decoherence rate means halving the non-identity weights.
+
+Under Jordan-Wigner the chain is free fermions. With the Majoranas
+
+    m_{2q-1} = Z_1 ... Z_{q-1} X_q,    m_{2q} = Z_1 ... Z_{q-1} Y_q,
+
+every step factor U is quadratic in them, so it only rotates them:
+U^dag m_a U = sum_c O_ac m_c, with O real orthogonal and 2n x 2n. A Pauli
+channel maps each bilinear i m_a m_b, itself a Pauli string, to its
+eigenvalue times itself: lam_ab = sum_P w_P s_Pa s_Pb, where s_Pa is -1 if
+P anticommutes with m_a and +1 otherwise. So the correlation matrix
+Gamma_ab = Tr(rho i m_a m_b) evolves on its own, as
+
+    Gamma <- lam o (O Gamma O^T)
+
+(o the entrywise product; Terhal and DiVincenzo, PRA 65, 032325 (2002);
+Bravyi and Koenig, QIC 12, 925 (2012)), and site q's occupation is
+(1 + Gamma_{2q-1,2q}) / 2. `trotter_step_unitaries` returns each factor as
+its O, `evolve_occupations` evolves Gamma. The Trotter factors are local, a
+2 x 2 block per site or a 4 x 4 block per bond, so a step's O is banded and
+a step costs O(n**2). Chains above CHAIN_SITE_CAP sites are refused.
 """
 
 from __future__ import annotations
@@ -19,46 +39,55 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, PauliChannel, _pauli_map
+from .channels import DensityMatrix, PauliChannel, _check_basis_label
+from .choi import _weight_differences
 from .encoder import EncodingResult, effective_channel, encode
-from .pauli import MATRIX_QUBIT_CAP, _check_dense_size, identity
+from .pauli import PauliString, identity, monomial, multiply
+from .validation import InvariantViolation
 
 __all__ = [
     "BenchmarkConfig",
     "BenchmarkResult",
+    "CHAIN_SITE_CAP",
     "EXACT_SITE_CAP",
+    "GAP_SLACK_PER_STEP",
     "chain_hamiltonian",
     "default_noise_channel",
     "default_target_channel",
     "evolve_occupations",
     "run_benchmark",
     "scale_channel_weights",
-    "site_occupations",
     "trotter_step_unitaries",
 ]
 
 EXACT_SITE_CAP = 2
+# Gamma, a step's O and a channel's lam are 2n x 2n floats: 8 MiB each at the cap
+CHAIN_SITE_CAP = 512
+# rounding allowance per step in the benchmark's gap bound
+GAP_SLACK_PER_STEP = 1e-12
+# rows of O per product in a banded step
+_BAND_ROWS = 16
+# channel terms per block of the sign table S: 1024 x 2n
+_TERM_BLOCK = 1024
 
 
-def _excitations(n_sites: int) -> np.ndarray:
-    """0/1 table whose [i, q - 1] is site q's bit of basis index i: bit n_sites - q."""
-    return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-
-
-def _onsite_energies(n_sites: int, omega0: float) -> np.ndarray:
-    """Diagonal of omega0/2 * sum_q sigma_z(q): each excited site lowers it by omega0."""
+def _check_sites(n_sites: int) -> None:
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    return 0.5 * omega0 * (n_sites - 2 * _excitations(n_sites).sum(axis=1))
+    if n_sites > CHAIN_SITE_CAP:
+        raise ValueError(f"refusing a {n_sites}-site chain (cap {CHAIN_SITE_CAP})")
 
 
 def chain_hamiltonian(n_sites: int, omega0: float, g: float) -> np.ndarray:
-    h = np.diag(_onsite_energies(n_sites, omega0)).astype(complex)
+    """H as a dense 2**n x 2**n matrix, for the exact_exponential reference."""
+    _check_sites(n_sites)
     idx = np.arange(2**n_sites)
+    excited = ((idx[:, None] >> np.arange(n_sites)) & 1).sum(axis=1)
+    h = np.diag(0.5 * omega0 * (n_sites - 2 * excited)).astype(complex)
     for shift in range(n_sites - 1):
         # hopping across a bond flips its two site bits wherever they differ
         pair = 3 << shift
@@ -73,10 +102,32 @@ def _expm_herm(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def _bond_layer(n_sites: int, first: int, gate: np.ndarray) -> np.ndarray:
-    # the gate on sites (first + 1, first + 2), (first + 3, first + 4), ...
-    eye, pad = np.eye(2, dtype=complex), n_sites - first
-    return reduce(np.kron, [eye] * first + [gate] * (pad // 2) + [eye] * (pad % 2))
+def _majoranas(n_sites: int) -> list[PauliString]:
+    """m_1 ... m_2n: Z on every site before q, then X (m_{2q-1}) or Y (m_{2q}) on q."""
+    out = []
+    for q in range(n_sites):
+        before, site = (1 << q) - 1, 1 << q
+        out += [PauliString(n_sites, site, before), PauliString(n_sites, site, before | site)]
+    return out
+
+
+def _rotation(u: np.ndarray, n_sites: int) -> np.ndarray:
+    """O of a gate u on n_sites sites: O_ac = Tr(u^dag m_a u m_c) / d."""
+    d = 1 << n_sites
+    m = np.zeros((2 * n_sites, d, d), dtype=complex)
+    for a, s in enumerate(_majoranas(n_sites)):
+        cols, phases = monomial(s)
+        m[a, np.arange(d), cols] = phases
+    return np.einsum("aij,cji->ac", u.conj().T @ m @ u, m).real / d
+
+
+def _layer(n_sites: int, block: np.ndarray, first: int) -> np.ndarray:
+    """The 2n x 2n rotation with `block` on sites first + 1, ..., every
+    len(block) / 2 sites from there, and the identity where no block fits."""
+    o, k = np.eye(2 * n_sites), len(block)
+    for start in range(2 * first, 2 * n_sites - k + 1, k):
+        o[start:start + k, start:start + k] = block
+    return o
 
 
 def trotter_step_unitaries(
@@ -87,22 +138,24 @@ def trotter_step_unitaries(
     *,
     method: str = "trotter",
 ) -> tuple[np.ndarray, ...]:
-    """Unitary factors of one time step, applied left to right.
+    """The factors of one time step, applied left to right, each as the real
+    orthogonal 2n x 2n matrix O that rotates the Majoranas (module docstring).
 
     "trotter" (the default) splits into an onsite phase and odd- and
-    even-bond layers of the 4x4 hopping gate; the bond terms of a layer
+    even-bond layers of the 2-site hopping gate; the bond terms of a layer
     commute, so each factor is exact, and up to two sites the product is the
-    exact step. "exact_exponential" returns the single full-step unitary and
-    is an opt-in small-system reference, refused above EXACT_SITE_CAP sites.
-    Chains above MATRIX_QUBIT_CAP sites, and phases omega0 * dt or g * dt
-    that overflow a float at this chain size, are refused before any matrix
-    is built.
+    exact step. Each factor's blocks are read off its 1- or 2-site gate.
+    "exact_exponential" returns the single full-step factor, read off the
+    dense exponential, and is an opt-in small-system reference, refused
+    above EXACT_SITE_CAP sites. Chains above CHAIN_SITE_CAP sites, and
+    phases omega0 * dt or g * dt that overflow a float at this chain size,
+    are refused before any matrix is built.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"need finite dt > 0, got {dt}")
     if not (math.isfinite(omega0) and math.isfinite(g)):
         raise ValueError(f"need finite omega0 and coupling g, got {omega0} and {g}")
-    _check_dense_size(n_sites, "step unitary", MATRIX_QUBIT_CAP)
+    _check_sites(n_sites)
     if method == "exact_exponential" and n_sites > EXACT_SITE_CAP:
         raise ValueError(
             f"exact_exponential is a reference for up to {EXACT_SITE_CAP} "
@@ -117,39 +170,100 @@ def trotter_step_unitaries(
             f"omega0={omega0!r}, coupling={g!r}, dt={dt!r}"
         )
     if method == "exact_exponential":
-        return (_expm_herm(chain_hamiltonian(n_sites, omega0, g), dt),)
+        return (_rotation(_expm_herm(chain_hamiltonian(n_sites, omega0, g), dt), n_sites),)
+    phase = np.exp(-0.5j * omega0 * dt)
     c, s = math.cos(g * dt), math.sin(g * dt)
     # exp(-i g dt (sp sm + sm sp)) on |00>, |01>, |10>, |11> rotates the |01>, |10> block
     gate = np.eye(4, dtype=complex)
     gate[1:3, 1:3] = [[c, -1j * s], [-1j * s, c]]
+    bond = _rotation(gate, 2)
     return (
-        np.diag(np.exp(-1j * dt * _onsite_energies(n_sites, omega0))),
-        _bond_layer(n_sites, 0, gate),
-        _bond_layer(n_sites, 1, gate),
+        _layer(n_sites, _rotation(np.diag([phase, phase.conjugate()]), 1), 0),
+        _layer(n_sites, bond, 0),
+        _layer(n_sites, bond, 1),
     )
 
 
-def site_occupations(rho: DensityMatrix | np.ndarray, n_sites: int) -> np.ndarray:
-    """Expectation of (I - Z_q)/2 for each site, in site order."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    diag = np.real(np.diagonal(mat))
-    if diag.size != 2**n_sites:
-        raise ValueError(f"state dim {diag.size} != 2**{n_sites}")
-    return diag @ _excitations(n_sites)
-
-
-def _step_unitary(unitaries: Sequence[np.ndarray]) -> np.ndarray:
-    """The factors as one step unitary: the first acts first, so it is the rightmost."""
-    return reduce(np.matmul, unitaries[::-1])
-
-
-def _initial_state(initial: DensityMatrix | str, n_steps: int) -> DensityMatrix:
-    """The state a run starts from; a bad label, then a negative step count, is refused."""
+def _initial_correlations(initial: DensityMatrix | str, n_steps: int) -> np.ndarray:
+    """Gamma of the state a run starts from; a bad label, then a negative step
+    count, is refused. A label's Gamma is read off its bits; a dense state's
+    through the Pauli string of each pair a < b, in O(n**2 d)."""
     if isinstance(initial, str):
-        initial = DensityMatrix.from_basis_label(initial)
+        _check_basis_label(initial)
+        _check_sites(len(initial))
     if n_steps < 0:
         raise ValueError(f"need n_steps >= 0, got {n_steps}")
-    return initial
+    if isinstance(initial, str):
+        # i m_{2q-1} m_{2q} = -Z_q, which reads 2b - 1 on bit b
+        bits = np.frombuffer(initial.encode(), dtype=np.uint8) - ord("0")
+        gamma = np.zeros((2 * len(initial),) * 2)
+        pairs = np.arange(0, len(gamma), 2)
+        gamma[pairs, pairs + 1] = 2.0 * bits - 1.0
+        return gamma - gamma.T
+    majoranas, rho = _majoranas(initial.n_qubits), initial.matrix
+    gamma = np.zeros((len(majoranas),) * 2)
+    rows = np.arange(initial.dim)
+    for a, b in zip(*np.triu_indices(len(majoranas), 1)):
+        product = multiply(majoranas[a], majoranas[b])  # m_a m_b = phase * P
+        cols, phases = monomial(product.string)  # P[j, cols[j]] = phases[j]
+        # Tr(rho i m_a m_b) = i phase sum_j rho[cols[j], j] phases[j]
+        gamma[a, b] = (1j * product.phase * (rho[cols, rows] @ phases)).real
+    return gamma - gamma.T
+
+
+def _bilinear_eigenvalues(channel: PauliChannel) -> np.ndarray:
+    """lam = S^T diag(w) S: S[P, a] is -1 where string P anticommutes with m_a.
+
+    Read off the packed keys x | z << n: P anticommutes with the Z on each
+    site before q where it has an X or a Y, with X_q where it has a Z or a Y
+    on q, and with Y_q where it has an X or a Z there. S is built for
+    _TERM_BLOCK terms at a time, so it stays small whatever the channel's size.
+    """
+    n = channel.n_qubits
+    size = (2 * n + 7) // 8
+    lam = np.zeros((2 * n, 2 * n))
+    for first in range(0, len(channel.terms), _TERM_BLOCK):
+        terms = channel.terms[first:first + _TERM_BLOCK]
+        keys = b"".join(s.key.to_bytes(size, "little") for _, s in terms)
+        bits = np.unpackbits(
+            np.frombuffer(keys, dtype=np.uint8).reshape(len(terms), size),
+            axis=1, count=2 * n, bitorder="little",
+        )
+        x, z = bits[:, :n], bits[:, n:]
+        before = np.cumsum(x, axis=1, dtype=np.uint8) - x  # wraps, but only its parity is read
+        flips = np.empty((len(terms), 2 * n), dtype=np.uint8)
+        flips[:, 0::2] = before + z
+        flips[:, 1::2] = before + x + z
+        signs = 1.0 - 2.0 * (flips & 1)
+        lam += (signs.T * np.array([w for w, _ in terms])) @ signs
+    return lam
+
+
+def _step_rotation(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The factors as one step's O: the first acts first, so it is the rightmost."""
+    return reduce(np.matmul, factors[::-1])
+
+
+def _conjugation(o: np.ndarray) -> Callable[[np.ndarray], None]:
+    """gamma -> O gamma O^T, in place. Where O is zero off a band |a - c| <= w,
+    each block of _BAND_ROWS rows (columns) of O multiplies only the rows
+    (columns) of gamma that its band reaches."""
+    m = len(o)
+    a, c = np.nonzero(o)
+    w = int(np.abs(a - c).max(initial=0))
+    bands = [(slice(r, r + _BAND_ROWS), slice(max(r - w, 0), r + _BAND_ROWS + w))
+             for r in range(0, m, _BAND_ROWS)]
+    left = [(rows, cols, o[rows, cols].copy()) for rows, cols in bands]
+    right = [(rows, cols, o[rows, cols].T.copy()) for rows, cols in bands]
+    half = np.empty((m, m))
+
+    def conjugate(gamma: np.ndarray) -> None:
+        for rows, cols, block in left:
+            np.matmul(block, gamma[cols], out=half[rows])
+        for rows, cols, block in right:
+            np.matmul(half[:, cols], block, out=gamma[:, rows])
+
+    return conjugate
 
 
 def evolve_occupations(
@@ -160,30 +274,33 @@ def evolve_occupations(
 ) -> np.ndarray:
     """Site occupations over time, shape (n_steps + 1, n_sites).
 
-    Row 0 is the initial state; each later row follows one application of
-    all unitaries (in the given order) and one channel round. Once per call,
-    the factors are multiplied into one step unitary and the channel's map
-    (eigenvalue table, Hadamard factors, flat XOR index) is built.
+    `initial` is a basis label or a dense state, `unitaries` are step
+    factors as `trotter_step_unitaries` returns them. Row 0 is the initial
+    state; each later row follows one application of all factors (in the
+    given order) and one channel round. Once per call, the factors are
+    multiplied into one O and the channel's lam is built; a step is then
+    Gamma <- lam o (O Gamma O^T).
     """
-    initial = _initial_state(initial, n_steps)
-    n_sites = initial.n_qubits
-    for u in unitaries:
-        if u.shape != (initial.dim, initial.dim):
-            raise ValueError(f"unitary shape {u.shape} != state dim {initial.dim}")
-    if channel is not None and channel.n_qubits != n_sites:
-        raise ValueError(f"channel acts on {channel.n_qubits} qubits, state on {n_sites}")
-    step = _step_unitary(unitaries) if unitaries else np.eye(initial.dim)
-    channel_map = None if channel is None else _pauli_map(channel.n_qubits, channel.terms)
-    rho = initial.matrix
-    del initial  # a state built here is freed once rho moves on
-    out = np.empty((n_steps + 1, n_sites))
-    out[0] = site_occupations(rho, n_sites)
+    gamma = _initial_correlations(initial, n_steps)
+    m = len(gamma)
+    for o in unitaries:
+        if o.shape != (m, m):
+            raise ValueError(f"step factor shape {o.shape} != ({m}, {m}) for {m // 2} sites")
+    if channel is not None and 2 * channel.n_qubits != m:
+        raise ValueError(f"channel acts on {channel.n_qubits} qubits, state on {m // 2}")
+    step = _conjugation(_step_rotation(unitaries)) if unitaries else None
+    scale = None if channel is None else _bilinear_eigenvalues(channel)
+    pairs = (np.arange(0, m, 2), np.arange(1, m, 2))
+    out = np.empty((n_steps + 1, m // 2))
+    out[0] = gamma[pairs]
     for row in range(1, n_steps + 1):
-        # U rho U^dag as (U (U rho)^dag)^dag, so no conjugate of U is kept
-        rho = (step @ (step @ rho).conj().T).conj().T
-        if channel_map is not None:
-            rho = channel_map(rho)
-        out[row] = site_occupations(rho, n_sites)
+        if step is not None:
+            step(gamma)
+        if scale is not None:
+            gamma *= scale
+        out[row] = gamma[pairs]
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -221,14 +338,24 @@ class BenchmarkResult:
     target_occupations: np.ndarray
     encoded_occupations: np.ndarray
     max_gap: float
+    # ||w_target - w_effective||_1 over both supports; row t's gap is at most t times half of it
+    weight_distance: float | None = None
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     """Evolve under the target channel and under its encoding, compare.
 
-    Both runs share one step unitary, composed once, so `max_gap` isolates the
-    decoherence mismatch left by the encoder. It is the product of the Trotter
-    factors unless `step_method` opts in to the exact-exponential reference.
+    Both runs share one step rotation, composed once, so `max_gap` isolates
+    the decoherence mismatch left by the encoder. It is the product of the
+    Trotter factors unless `step_method` opts in to the exact-exponential
+    reference.
+
+    Every row is checked against its bound: both runs apply the same
+    unitary, a channel never increases trace distance, and two Pauli
+    channels whose weights differ by delta in l1 are delta apart in diamond
+    norm, so after t steps the states are at most t * delta apart in trace
+    norm, and an occupation at most t * delta / 2. A row above that, plus
+    GAP_SLACK_PER_STEP per step for rounding, raises InvariantViolation.
     """
     cfg = config
     if len(cfg.initial) != cfg.n_sites:
@@ -236,10 +363,10 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
             f"initial label {cfg.initial!r} has {len(cfg.initial)} sites, expected {cfg.n_sites}"
         )
     # checked before the encoder runs, so a bad chain, label or step count costs no encoding
-    steps = (_step_unitary(trotter_step_unitaries(
+    steps = (_step_rotation(trotter_step_unitaries(
         cfg.n_sites, cfg.omega0, cfg.coupling, cfg.dt, method=cfg.step_method
     )),)
-    _initial_state(cfg.initial, cfg.n_steps)  # the state is dropped, not kept through both runs
+    _initial_correlations(cfg.initial, cfg.n_steps)
     encoding = encode(
         cfg.target, cfg.noise,
         mode=cfg.encoder, node=cfg.node, tol=cfg.tol, max_iters=cfg.max_iters,
@@ -247,11 +374,20 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     effective = effective_channel(encoding)
     reference = evolve_occupations(cfg.initial, steps, cfg.target, cfg.n_steps)
     encoded = evolve_occupations(cfg.initial, steps, effective, cfg.n_steps)
+    gaps = np.abs(reference - encoded).max(axis=1)
+    delta = math.fsum(map(abs, _weight_differences(cfg.target, effective).values()))
+    bounds = np.arange(cfg.n_steps + 1) * (0.5 * delta + GAP_SLACK_PER_STEP)
+    if not (gaps <= bounds).all():  # a NaN gap fails too
+        t = int(np.argmin(gaps <= bounds))
+        raise InvariantViolation(
+            f"occupation gap {gaps[t]:.6g} at step {t} exceeds its bound {bounds[t]:.6g} "
+            f"(target and realized weights differ by {delta:.6g} in l1)"
+        )
     return BenchmarkResult(
         config=cfg, encoding=encoding, effective=effective,
         times=np.arange(cfg.n_steps + 1) * cfg.dt,
         target_occupations=reference, encoded_occupations=encoded,
-        max_gap=float(np.abs(reference - encoded).max()),
+        max_gap=float(gaps.max()), weight_distance=delta,
     )
 
 

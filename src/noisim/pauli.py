@@ -44,7 +44,7 @@ _LETTER_SET = frozenset(_LETTERS)
 _X_DIGITS = str.maketrans(_LETTERS, "0101")
 _Z_DIGITS = str.maketrans(_LETTERS, "0011")
 
-# Dense states and step unitaries above this size are refused; memory grows as 4**n.
+# Dense states above this size are refused; memory grows as 4**n.
 MATRIX_QUBIT_CAP = 10
 
 

@@ -163,17 +163,21 @@ class _Emitter:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        if isinstance(value, dict):
-            names = _names(value)
-            heads = list(map(self.keys.__getitem__, names))  # refuses a non-str key
-            values = list(map(value.__getitem__, names))
-            opening, closing = "{\n", "}"
+        is_dict = isinstance(value, dict)
+        opening, closing = ("{\n", "}") if is_dict else ("[\n", "]")
+        kinds = set(map(type, value.values() if is_dict else value))
+        nested = any(issubclass(kind, (dict, list, tuple)) for kind in kinds)
+        # json's C encoder sorts and quotes str keys itself; a dict with any
+        # other key takes the path below, which refuses it
+        if not nested and (not is_dict or all(issubclass(kind, str) for kind in set(map(type, value)))):
+            items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
         else:
-            heads = None
-            values = value
-            opening, closing = "[\n", "]"
-        kinds = set(map(type, values))
-        if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+            if is_dict:
+                names = _names(value)
+                heads = list(map(self.keys.__getitem__, names))  # refuses a non-str key
+                values = list(map(value.__getitem__, names))
+            else:
+                heads, values = None, value
             records = heads is None and all(issubclass(kind, dict) for kind in kinds)
             items = self.records(values, inner) if records else None
             if items is None:
@@ -184,8 +188,6 @@ class _Emitter:
                     lead = sep
                 self.write("\n" + indent + closing)
                 return
-        else:
-            items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
         self.write(opening + inner + items + "\n" + indent + closing)
 
 

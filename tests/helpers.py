@@ -10,10 +10,15 @@ the encoder loop written plainly, the oracle for `encoder.encode`, and
 `tie_heavy_encodings` draws the inputs both are run on. `effective_oracle`
 and `decomposition_oracle` redo the realized channel and the decomposition
 audit over PauliString keys and `multiply` products, the oracles for the
-packed-key sums in `encoder` and `validation`.
+packed-key sums in `encoder` and `validation`. The exciton chain's dense
+Trotter factors, Hamiltonian parts and `sequential_occupations`, which
+conjugates a dense state by each factor and applies the channel term by
+term, are the oracles for the Majorana correlation-matrix evolution in
+`dynamics`; `majorana_rotation` reads a dense gate's 2n x 2n rotation.
 """
 
 import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -43,6 +48,71 @@ def dense_string(text: str) -> np.ndarray:
     for letter in text[1:]:
         out = np.kron(out, PAULIS[letter])
     return out
+
+
+def majoranas_dense(n: int) -> list[np.ndarray]:
+    """m_{2q-1} = Z...Z X_q and m_{2q} = Z...Z Y_q, with a Z on every site before q."""
+    return [dense_string("Z" * q + letter + "I" * (n - q - 1)) for q in range(n) for letter in "XY"]
+
+
+def majorana_rotation(u: np.ndarray, n: int) -> np.ndarray:
+    """O with u^dag m_a u = sum_c O_ac m_c, as Tr(u^dag m_a u m_c) / 2**n."""
+    m = majoranas_dense(n)
+    return np.array([[np.trace(u.conj().T @ a @ u @ c).real for c in m] for a in m]) / 2**n
+
+
+def dense_chain_parts(n: int, omega0: float, g: float):
+    """Onsite, odd-bond and even-bond Hamiltonians as sums of Pauli strings."""
+    def at(letters, site):
+        return dense_string("I" * site + letters + "I" * (n - site - len(letters)))
+
+    onsite = sum(0.5 * omega0 * at("Z", q) for q in range(n))
+    bonds = [
+        sum((g / 2 * (at("XX", b) + at("YY", b)) for b in range(first, n - 1, 2)),
+            np.zeros((2**n, 2**n), dtype=complex))
+        for first in (0, 1)
+    ]
+    return onsite, *bonds
+
+
+def expm_dense(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for Hermitian h."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _bond_layer(n: int, first: int, gate: np.ndarray) -> np.ndarray:
+    # the gate on sites (first + 1, first + 2), (first + 3, first + 4), ...
+    eye, pad = np.eye(2, dtype=complex), n - first
+    return reduce(np.kron, [eye] * first + [gate] * (pad // 2) + [eye] * (pad % 2))
+
+
+def dense_trotter_factors(n: int, omega0: float, g: float, dt: float) -> tuple[np.ndarray, ...]:
+    """The onsite phase and the odd- and even-bond layers of the hopping gate,
+    as 2**n x 2**n unitaries: the closed forms of the three Trotter factors."""
+    excited = np.array([i.bit_count() for i in range(2**n)])
+    onsite = np.diag(np.exp(-1j * dt * 0.5 * omega0 * (n - 2 * excited)))
+    c, s = math.cos(g * dt), math.sin(g * dt)
+    # exp(-i g dt (sp sm + sm sp)) on |00>, |01>, |10>, |11> rotates the |01>, |10> block
+    gate = np.eye(4, dtype=complex)
+    gate[1:3, 1:3] = [[c, -1j * s], [-1j * s, c]]
+    return onsite, _bond_layer(n, 0, gate), _bond_layer(n, 1, gate)
+
+
+def sequential_occupations(rho, factors, terms, n: int, n_steps: int) -> np.ndarray:
+    """Occupations of a dense state: each step conjugates it by each dense
+    factor in turn, then applies the (weight, text) channel term by term."""
+    number = [(np.eye(2**n) - dense_string("I" * q + "Z" + "I" * (n - q - 1))) / 2
+              for q in range(n)]
+    rows = []
+    for step in range(n_steps + 1):
+        if step:
+            for u in factors:
+                rho = u @ rho @ u.conj().T
+            if terms is not None:
+                rho = apply_channel_dense(terms, rho)
+        rows.append([np.trace(m @ rho).real for m in number])
+    return np.array(rows)
 
 
 def text_oracle(n: int, x_mask: int, z_mask: int) -> str:

@@ -20,9 +20,9 @@ from noisim.cli import (
     main,
 )
 from noisim.clusters import ORBIT_RANK_CAP
-from noisim.dynamics import BenchmarkConfig
+from noisim.dynamics import CHAIN_SITE_CAP, BenchmarkConfig
 from noisim.encoder import effective_channel, encode_adaptive, encode_fixed
-from noisim.pauli import MATRIX_QUBIT_CAP
+from noisim.pauli import MATRIX_QUBIT_CAP, parse
 from noisim.serialize import channel_from_dict
 
 from helpers import shift_residue
@@ -461,7 +461,7 @@ def test_bad_chain_is_refused_before_encoding(tmp_path, capsys, monkeypatch):
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(noisim.dynamics, "encode", counted)
-    n = MATRIX_QUBIT_CAP + 1
+    n = CHAIN_SITE_CAP + 1
     three = _write(tmp_path, "three.json", {"terms": [
         {"string": "III", "weight": 0.9}, {"string": "XII", "weight": 0.1}]})
     wide = _write(tmp_path, "wide.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})
@@ -642,15 +642,44 @@ def test_certify_at_any_finite_p(files, p):
     assert all(math.isfinite(v) for v in values), values
 
 
-def test_oversized_dense_states_exit_one(tmp_path, capsys):
-    # refused before any 2**n x 2**n state is built
-    n = MATRIX_QUBIT_CAP + 1
-    big = _write(tmp_path, "big.json", {"terms": [{"string": "I" * n, "weight": 1.0}]})
-    code = main(["benchmark", "--target", big, "--noise", big, "--n-sites", str(n),
-                 "--initial", "1" + "0" * (n - 1), "--step-method", "trotter",
-                 "--out", str(tmp_path / "x.out")])
-    assert code == EXIT_USAGE
-    assert "refusing" in capsys.readouterr().err
+def test_oversized_chain_exits_one(tmp_path, capsys):
+    # refused before any 2n x 2n matrix is built; a chain above the dense cap runs
+    def run(n):
+        big = _write(tmp_path, f"big{n}.json", {"terms": [
+            {"string": "I" * n, "weight": 0.9}, {"string": "X" * n, "weight": 0.1}]})
+        return main(["benchmark", "--target", big, "--noise", big, "--n-sites", str(n),
+                     "--initial", "1" + "0" * (n - 1), "--n-steps", "3", "--step-method", "trotter",
+                     "--out", str(tmp_path / "x.out")])
+
+    assert run(CHAIN_SITE_CAP + 1) == EXIT_USAGE
+    assert "refusing a 513-site chain (cap 512)" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+    assert run(MATRIX_QUBIT_CAP + 1) == EXIT_OK
+
+
+def test_benchmark_gap_above_its_bound_exits_three(tmp_path, capsys, monkeypatch):
+    # a mutant that drops the target's XZ term from the encoded run: the realized
+    # weights still match the target, so the gap breaks its t * delta / 2 bound
+    import noisim.dynamics
+    from noisim.channels import PauliChannel
+
+    evolve, runs = noisim.dynamics.evolve_occupations, []
+
+    def dropped(initial, unitaries, channel, n_steps):
+        runs.append(channel)
+        if len(runs) == 2:  # the encoded run comes second
+            xz = parse("XZ")
+            channel = PauliChannel([(w, parse("II") if s == xz else s) for w, s in channel.terms])
+        return evolve(initial, unitaries, channel, n_steps)
+
+    out = tmp_path / "o.csv"
+    assert main(["benchmark", "--n-steps", "20", "--out", str(out)]) == EXIT_OK
+    monkeypatch.setattr(noisim.dynamics, "evolve_occupations", dropped)
+    out.unlink()
+    assert main(["benchmark", "--n-steps", "20", "--out", str(out)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "invariant violation: occupation gap" in err and "exceeds its bound" in err, err
+    assert not out.exists()
 
 
 def test_certify_label_of_another_length_exits_one(tmp_path, capsys):

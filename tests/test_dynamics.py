@@ -5,21 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_channel_dense, dense_string, random_channel_terms, random_density
+from helpers import (
+    apply_channel_dense,
+    dense_chain_parts,
+    dense_trotter_factors,
+    expm_dense,
+    majorana_rotation,
+    majoranas_dense,
+    random_channel_terms,
+    random_density,
+    sequential_occupations,
+)
 from noisim.channels import DensityMatrix, PauliChannel
 from noisim.dynamics import (
+    CHAIN_SITE_CAP,
     BenchmarkConfig,
-    _onsite_energies,
+    _bilinear_eigenvalues,
+    _initial_correlations,
     chain_hamiltonian,
     default_noise_channel,
     default_target_channel,
     evolve_occupations,
     run_benchmark,
     scale_channel_weights,
-    site_occupations,
     trotter_step_unitaries,
 )
-from noisim.pauli import MATRIX_QUBIT_CAP, parse
+from noisim.pauli import parse
 
 
 def test_hamiltonian_onsite_spectrum():
@@ -34,37 +45,25 @@ def test_hamiltonian_hopping_block():
     assert np.abs(h - expected).max() < 1e-15
 
 
-def _dense_chain_parts(n, omega0, g):
-    """Onsite, odd-bond and even-bond Hamiltonians as sums of Pauli strings."""
-    def at(letters, site):
-        return dense_string("I" * site + letters + "I" * (n - site - len(letters)))
-
-    onsite = sum(0.5 * omega0 * at("Z", q) for q in range(n))
-    bonds = [
-        sum((g / 2 * (at("XX", b) + at("YY", b)) for b in range(first, n - 1, 2)),
-            np.zeros((2**n, 2**n), dtype=complex))
-        for first in (0, 1)
-    ]
-    return onsite, *bonds
-
-
-def _expm_dense(h, t):
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 finite = st.floats(min_value=-10, max_value=10)
 
 
 @given(st.integers(min_value=1, max_value=6), finite, finite, st.floats(min_value=1e-3, max_value=1))
 @settings(max_examples=60, deadline=None)
 def test_closed_forms_match_dense_exponentials(n, omega0, g, dt):
-    parts = _dense_chain_parts(n, omega0, g)
+    parts = dense_chain_parts(n, omega0, g)
     assert np.abs(chain_hamiltonian(n, omega0, g) - sum(parts)).max() < 1e-12
+    dense = dense_trotter_factors(n, omega0, g, dt)
     factors = trotter_step_unitaries(n, omega0, g, dt, method="trotter")
     assert len(factors) == 3
-    for u, h in zip(factors, parts):
-        assert np.abs(u - _expm_dense(h, dt)).max() < 1e-12
+    for o, u, h in zip(factors, dense, parts):
+        assert np.abs(u - expm_dense(h, dt)).max() < 1e-12
+        # each factor is the rotation its dense unitary applies to the Majoranas
+        assert o.shape == (2 * n, 2 * n) and o.dtype == float
+        assert np.abs(o - majorana_rotation(u, n)).max() < 1e-12
+    if n <= 2:
+        (exact,) = trotter_step_unitaries(n, omega0, g, dt, method="exact_exponential")
+        assert np.abs(exact - majorana_rotation(expm_dense(sum(parts), dt), n)).max() < 1e-12
 
 
 def test_single_site_bond_factors_are_identity():
@@ -92,13 +91,14 @@ def test_single_excitation_rabi_oscillation():
         assert np.abs(occ.sum(axis=1) - 1.0).max() < 1e-12, method
 
 
-def test_site_occupations_on_basis_states():
-    from noisim.channels import DensityMatrix
-
-    assert site_occupations(DensityMatrix.from_basis_label("10"), 2).tolist() == [1.0, 0.0]
-    assert site_occupations(DensityMatrix.from_basis_label("011"), 3).tolist() == [0.0, 1.0, 1.0]
-    with pytest.raises(ValueError, match=r"state dim 4 != 2\*\*3"):
-        site_occupations(DensityMatrix.from_basis_label("10"), 3)
+def test_basis_labels_read_as_their_bits():
+    assert evolve_occupations("10", (), None, 0).tolist() == [[1.0, 0.0]]
+    assert evolve_occupations("011", (), None, 1).tolist() == [[0.0, 1.0, 1.0]] * 2
+    dense = DensityMatrix.from_basis_label("011")
+    assert evolve_occupations(dense, (), None, 0).tolist() == [[0.0, 1.0, 1.0]]
+    # a label's Gamma holds -<Z_q> = 2b - 1 at (2q - 1, 2q), antisymmetric, zero elsewhere
+    gamma = _initial_correlations("10", 0)
+    assert gamma.tolist() == [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 def _masked_occupations(diag, n):
@@ -109,30 +109,69 @@ def _masked_occupations(diag, n):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10))
 @settings(max_examples=100, deadline=None)
-def test_site_occupations_match_masked_sums(seed, n):
+def test_dense_state_occupations_match_masked_sums(seed, n):
     rng = np.random.default_rng(seed)
     # powers of uniform draws spread the weights over several scales
     diag = rng.random(2**n) ** int(rng.integers(1, 6))
     diag /= diag.sum()
-    occ = site_occupations(np.diag(diag), n)
+    # a diagonal state with a unit-trace, nonnegative diagonal, built without the
+    # constructor's 1024 x 1024 eigensolve
+    occ = evolve_occupations(DensityMatrix._known(np.diag(diag).astype(complex)), (), None, 0)[0]
     oracle = _masked_occupations(diag, n)
     # the two sums add the same terms in different orders
     assert np.abs(occ - oracle).max() <= 8 * np.finfo(float).eps * diag.sum()
-    if n <= 2:  # each site sums at most two nonzero terms, so no order differs
-        assert (occ == oracle).all()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=5))
+@settings(max_examples=40, deadline=None)
+def test_dense_state_correlations_match_majorana_expectations(seed, n):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
+    m = majoranas_dense(n)
+    oracle = np.array([[0.0 if a is b else np.trace(rho @ (1j * a @ b)).real for b in m] for a in m])
+    assert np.abs(_initial_correlations(DensityMatrix(rho), 0) - oracle).max() < 1e-14
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_channel_scales_each_bilinear_by_its_eigenvalue(seed, n):
+    # E(i m_a m_b) = lam_ab i m_a m_b for every pair a != b
+    rng = np.random.default_rng(seed)
+    terms = random_channel_terms(rng, n, max_terms=12)
+    lam = _bilinear_eigenvalues(PauliChannel(terms))
+    m = majoranas_dense(n)
+    for a in range(2 * n):
+        for b in range(2 * n):
+            if a != b:
+                bilinear = 1j * m[a] @ m[b]
+                assert np.abs(apply_channel_dense(terms, bilinear) - lam[a, b] * bilinear).max() < 1e-14
+
+
+def test_channel_eigenvalues_sum_over_blocks_of_terms(monkeypatch):
+    import noisim.dynamics
+
+    channel = PauliChannel(random_channel_terms(np.random.default_rng(3), 4, max_terms=40))
+    whole = _bilinear_eigenvalues(channel)
+    monkeypatch.setattr(noisim.dynamics, "_TERM_BLOCK", 3)
+    assert len(channel.terms) > 3
+    assert np.abs(_bilinear_eigenvalues(channel) - whole).max() < 1e-15
 
 
 def test_onsite_energies_match_popcount():
+    # the Hamiltonian's diagonal: each excited site lowers omega0 * n / 2 by omega0
     for n in range(1, 11):
         excited = np.array([i.bit_count() for i in range(2**n)])
         for omega0 in (1.0, -0.37, 2.5e3):
-            assert np.array_equal(_onsite_energies(n, omega0), 0.5 * omega0 * (n - 2 * excited))
+            onsite = np.diagonal(chain_hamiltonian(n, omega0, 0.0))
+            assert np.array_equal(onsite, 0.5 * omega0 * (n - 2 * excited))
 
 
 def test_step_unitaries_are_unitary():
-    for method, n in (("trotter", 3), ("exact_exponential", 2)):
-        for u in trotter_step_unitaries(n, 1.0, 0.5, 0.1, method=method):
-            assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-12
+    # each factor is real and orthogonal, so it is unitary too
+    for method, n in (("trotter", 3), ("trotter", 64), ("exact_exponential", 2)):
+        for o in trotter_step_unitaries(n, 1.0, 0.5, 0.1, method=method):
+            assert o.dtype == float and o.shape == (2 * n, 2 * n)
+            assert np.abs(o @ o.T - np.eye(2 * n)).max() < 1e-12
 
 
 def test_trotter_error_is_first_order():
@@ -142,9 +181,10 @@ def test_trotter_error_is_first_order():
     for dt in (0.05, 0.025):
         steps = round(t_final / dt)
         split = trotter_step_unitaries(3, 1.0, 0.5, dt, method="trotter")
-        exact = (_expm_dense(chain_hamiltonian(3, 1.0, 0.5), dt),)
+        exact = (expm_dense(sum(dense_chain_parts(3, 1.0, 0.5)), dt),)
         occ_split = evolve_occupations("100", split, None, steps)
-        occ_exact = evolve_occupations("100", exact, None, steps)
+        rho = DensityMatrix.from_basis_label("100").matrix
+        occ_exact = sequential_occupations(rho, exact, None, 3, steps)
         devs.append(np.abs(occ_split - occ_exact).max())
     assert 1.7 < devs[0] / devs[1] < 2.3
 
@@ -159,9 +199,10 @@ def test_exact_exponential_is_small_system_reference():
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dt"):
             trotter_step_unitaries(2, 1.0, 0.5, dt)
-    with pytest.raises(ValueError, match="refusing a dense 11-qubit step unitary"):
-        trotter_step_unitaries(MATRIX_QUBIT_CAP + 1, 1.0, 0.5, 0.05)
-    assert trotter_step_unitaries(MATRIX_QUBIT_CAP, 1.0, 0.5, 0.05)[1].shape == (1024, 1024)
+    with pytest.raises(ValueError, match=f"refusing a {CHAIN_SITE_CAP + 1}-site chain"):
+        trotter_step_unitaries(CHAIN_SITE_CAP + 1, 1.0, 0.5, 0.05)
+    m = 2 * CHAIN_SITE_CAP
+    assert trotter_step_unitaries(CHAIN_SITE_CAP, 1.0, 0.5, 0.05)[1].shape == (m, m)
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least one site"):
             trotter_step_unitaries(n, 1.0, 0.5, 0.05)
@@ -187,45 +228,59 @@ def test_phases_that_overflow_are_refused():
         trotter_step_unitaries(3, 1.2e308, 0.5, 1.0)
 
 
-def _sequential_occupations(rho, factors, terms, n, n_steps):
-    """Each factor conjugated in turn, then the dense channel, each step."""
-    number = [(np.eye(2**n) - dense_string("I" * q + "Z" + "I" * (n - q - 1))) / 2
-              for q in range(n)]
-    rows = []
-    for step in range(n_steps + 1):
-        if step:
-            for u in factors:
-                rho = u @ rho @ u.conj().T
-            if terms is not None:
-                rho = apply_channel_dense(terms, rho)
-        rows.append([np.trace(m @ rho).real for m in number])
-    return np.array(rows)
-
-
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=8),
     st.sampled_from(["trotter", "exact_exponential", "none"]),
     st.booleans(),
     st.floats(min_value=1e-3, max_value=1.5),
 )
 @settings(max_examples=60, deadline=None)
 def test_evolution_matches_sequential_dense_oracle(seed, n, factors, with_channel, dt):
+    # random labels at every size, random dense states up to 5 qubits
     rng = np.random.default_rng(seed)
     if factors == "exact_exponential" and n > 2:
         factors = "trotter"
     omega0, g = rng.uniform(-2, 2, size=2)
-    unitaries = () if factors == "none" else trotter_step_unitaries(
-        n, omega0, g, dt, method=factors
-    )
+    if factors == "none":
+        rotations, dense = (), ()
+    else:
+        rotations = trotter_step_unitaries(n, omega0, g, dt, method=factors)
+        dense = (
+            dense_trotter_factors(n, omega0, g, dt) if factors == "trotter"
+            else (expm_dense(sum(dense_chain_parts(n, omega0, g)), dt),)
+        )
     terms = random_channel_terms(rng, n, max_terms=10) if with_channel else None
     channel = PauliChannel(terms) if with_channel else None
-    rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
+    if n <= 5 and rng.integers(0, 2):
+        rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
+        initial = DensityMatrix(rho)
+    else:
+        initial = "".join(rng.choice(["0", "1"], size=n))
+        rho = DensityMatrix.from_basis_label(initial).matrix
     n_steps = int(rng.integers(0, 5))
-    occ = evolve_occupations(DensityMatrix(rho), unitaries, channel, n_steps)
-    expected = _sequential_occupations(rho, unitaries, terms, n, n_steps)
+    occ = evolve_occupations(initial, rotations, channel, n_steps)
+    expected = sequential_occupations(rho, dense, terms, n, n_steps)
     assert occ.shape == (n_steps + 1, n)
     assert np.abs(occ - expected).max() < 1e-12
+
+
+def test_banded_steps_match_one_dense_rotation():
+    # at 40 sites the step's O spans several row blocks, each reaching only its band
+    rng = np.random.default_rng(7)
+    n, n_steps = 40, 6
+    factors = trotter_step_unitaries(n, 1.3, 0.7, 0.4)
+    o = factors[2] @ factors[1] @ factors[0]
+    channel = PauliChannel([(0.9, "I" * n), (0.06, "XY" + "Z" * (n - 2)), (0.04, "I" * (n - 1) + "X")])
+    lam = _bilinear_eigenvalues(channel)
+    label = "".join(rng.choice(["0", "1"], size=n))
+    gamma = _initial_correlations(label, n_steps)
+    rows = [gamma.diagonal(1)[::2]]
+    for _ in range(n_steps):
+        gamma = lam * (o @ gamma @ o.T)
+        rows.append(gamma.diagonal(1)[::2])
+    expected = (1 + np.array(rows)) / 2
+    assert np.abs(evolve_occupations(label, factors, channel, n_steps) - expected).max() < 1e-13
 
 
 def test_evolution_validation():
@@ -267,6 +322,23 @@ def test_benchmark_fixed_encoder_and_errors():
         run_benchmark(BenchmarkConfig(target=cfg.target, noise=cfg.noise, initial="101"))
 
 
+def test_benchmark_gap_stays_within_its_bound():
+    # each row's gap is at most t * delta / 2; the fixed rule at node XZ comes
+    # within a factor of 0.6 of it at every tol, so the bound is not vacuous
+    target, noise = default_target_channel(), default_noise_channel()
+    for tol in (1e-1, 1e-3, 1e-6):
+        result = run_benchmark(BenchmarkConfig(
+            target=target, noise=noise, encoder="fixed", node="XZ", tol=tol, n_steps=100
+        ))
+        realized = {s.text: w for w, s in result.effective.terms}
+        wanted = {s.text: w for w, s in target.terms}
+        delta = math.fsum(abs(wanted.get(k, 0.0) - realized.get(k, 0.0)) for k in wanted | realized)
+        assert result.weight_distance == pytest.approx(delta, rel=1e-12, abs=1e-18)
+        gaps = np.abs(result.target_occupations - result.encoded_occupations).max(axis=1)
+        ratios = gaps[1:] / (np.arange(1, 101) * delta / 2)
+        assert 0.5 < ratios.max() <= 1.0, tol
+
+
 def test_benchmark_composes_one_step_for_both_runs(monkeypatch):
     import noisim.dynamics
 
@@ -288,24 +360,23 @@ def test_benchmark_composes_one_step_for_both_runs(monkeypatch):
 
 
 def test_channel_map_is_built_once_per_call(monkeypatch):
-    # the Hadamard factors come from _parity_signs when a map is made; a
-    # longer run must apply the same map, not build more of them
-    import noisim.channels
+    # a longer run must scale by the same eigenvalues, not build them again
+    import noisim.dynamics
 
-    parity_signs, calls = noisim.channels._parity_signs, []
+    eigenvalues, calls = noisim.dynamics._bilinear_eigenvalues, []
 
-    def counted(a):
+    def counted(channel):
         calls.append(1)
-        return parity_signs(a)
+        return eigenvalues(channel)
 
-    monkeypatch.setattr(noisim.channels, "_parity_signs", counted)
+    monkeypatch.setattr(noisim.dynamics, "_bilinear_eigenvalues", counted)
     unitaries = trotter_step_unitaries(2, 1.0, 0.5, 0.05)
     counts = []
     for n_steps in (5, 50):
         calls.clear()
         evolve_occupations("10", unitaries, default_target_channel(), n_steps)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [1, 1]
 
 
 def test_scale_channel_weights():

@@ -198,8 +198,12 @@ def test_failed_write_names_the_requested_path(tmp_path):
 
 def test_write_json_refuses_what_json_would_convert_or_reject(tmp_path, monkeypatch):
     path = tmp_path / "v.json"
-    for bad in ({1: 0.5}, {"a": {None: 1}}, {"a": [1, {1.5: "x", "b": 2}]}):
-        with pytest.raises(TypeError, match="keys must be str"):
+    # the first key that is not a str, in sorted order where the keys sort, is named
+    for bad, kind in (
+        ({1: 0.5}, "int"), ({"a": {None: 1}}, "NoneType"), ({"a": [1, {1.5: "x", "b": 2}]}, "float"),
+        ({2: 0.5, 1.5: 0.25}, "float"), ({"b": 1, True: 2, 3: 4}, "bool"),
+    ):
+        with pytest.raises(TypeError, match=f"^JSON object keys must be str, not {kind}$"):
             write_json(bad, path)
     with pytest.raises(TypeError, match="not JSON serializable"):
         write_json({"a": {1, 2}}, path)
