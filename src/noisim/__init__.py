@@ -22,7 +22,6 @@ from .clusters import Cluster, analyze_cluster, orbit
 from .dynamics import (
     BenchmarkConfig,
     BenchmarkResult,
-    chain_hamiltonian,
     default_noise_channel,
     default_target_channel,
     evolve_occupations,
@@ -72,7 +71,6 @@ __all__ = [
     "apply_from_choi",
     "apply_pauli_channel",
     "audit_encoding",
-    "chain_hamiltonian",
     "check_conservation",
     "check_decomposition",
     "choi_state",

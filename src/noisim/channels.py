@@ -45,7 +45,7 @@ WEIGHT_SUM_ATOL = 1e-12
 
 def _check_basis_label(label: str) -> None:
     """Refuse a basis label that is not a nonempty string of 0s and 1s."""
-    if not label or set(label) - {"0", "1"}:
+    if not isinstance(label, str) or not label or set(label) - {"0", "1"}:
         raise ValueError(f"basis label must be a bitstring, got {label!r}")
 
 

@@ -6,7 +6,7 @@ The chain Hamiltonian on n sites with open boundaries is
 
 with sp = [[0, 0], [1, 0]], so basis label bit 1 marks an excited site and
 the occupation of site q is the expectation of (I - Z_q)/2. Site 1 is the
-leftmost label character and the most significant Kronecker factor.
+leftmost label character.
 
 A simulation step applies the step factors in order, then one round of
 the decoherence channel. Channel weights therefore play the role of
@@ -17,11 +17,16 @@ Under Jordan-Wigner the chain is free fermions. With the Majoranas
 
     m_{2q-1} = Z_1 ... Z_{q-1} X_q,    m_{2q} = Z_1 ... Z_{q-1} Y_q,
 
-every step factor U is quadratic in them, so it only rotates them:
-U^dag m_a U = sum_c O_ac m_c, with O real orthogonal and 2n x 2n. A Pauli
-channel maps each bilinear i m_a m_b, itself a Pauli string, to its
-eigenvalue times itself: lam_ab = sum_P w_P s_Pa s_Pb, where s_Pa is -1 if
-P anticommutes with m_a and +1 otherwise. So the correlation matrix
+H = (i/4) sum_ab A_ab m_a m_b for one real antisymmetric 2n x 2n generator
+A: a 2 x 2 block per site, A_{2q-1,2q} = -omega0, and a 4 x 4 block per
+bond (q, q + 1), A_{2q,2q+1} = -g and A_{2q-1,2q+2} = g, each entry with
+its negative across the diagonal. So U = exp(-i H t) only rotates the
+Majoranas, U^dag m_a U = sum_c O_ac m_c with O = exp(t A) real
+orthogonal, and so does each Trotter factor, the exponential of A's site
+blocks or of one of its two layers of bond blocks. A Pauli channel maps
+each bilinear i m_a m_b, itself a Pauli string, to its eigenvalue times
+itself: lam_ab = sum_P w_P s_Pa s_Pb, where s_Pa is -1 if P anticommutes
+with m_a and +1 otherwise. So the correlation matrix
 Gamma_ab = Tr(rho i m_a m_b) evolves on its own, as
 
     Gamma <- lam o (O Gamma O^T)
@@ -29,9 +34,9 @@ Gamma_ab = Tr(rho i m_a m_b) evolves on its own, as
 (o the entrywise product; Terhal and DiVincenzo, PRA 65, 032325 (2002);
 Bravyi and Koenig, QIC 12, 925 (2012)), and site q's occupation is
 (1 + Gamma_{2q-1,2q}) / 2. `trotter_step_unitaries` returns each factor as
-its O, `evolve_occupations` evolves Gamma. The Trotter factors are local, a
-2 x 2 block per site or a 4 x 4 block per bond, so a step's O is banded and
-a step costs O(n**2). Chains above CHAIN_SITE_CAP sites are refused.
+its O, `evolve_occupations` evolves Gamma from a basis label. A Trotter
+step's O is banded, so a step costs O(n**2); the exact step's O is dense,
+so a step costs O(n**3). Chains above CHAIN_SITE_CAP sites are refused.
 """
 
 from __future__ import annotations
@@ -43,10 +48,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, PauliChannel, _check_basis_label
+from .channels import PauliChannel, _check_basis_label
 from .choi import _weight_differences
 from .encoder import EncodingResult, effective_channel, encode
-from .pauli import PauliString, identity, monomial, multiply
+from .pauli import identity
 from .validation import InvariantViolation
 
 __all__ = [
@@ -55,7 +60,6 @@ __all__ = [
     "CHAIN_SITE_CAP",
     "EXACT_SITE_CAP",
     "GAP_SLACK_PER_STEP",
-    "chain_hamiltonian",
     "default_noise_channel",
     "default_target_channel",
     "evolve_occupations",
@@ -64,11 +68,15 @@ __all__ = [
     "trotter_step_unitaries",
 ]
 
-EXACT_SITE_CAP = 2
 # Gamma, a step's O and a channel's lam are 2n x 2n floats: 8 MiB each at the cap
 CHAIN_SITE_CAP = 512
+# kept for callers that pick a step method by chain size: the exact step runs at every size
+EXACT_SITE_CAP = CHAIN_SITE_CAP
 # rounding allowance per step in the benchmark's gap bound
 GAP_SLACK_PER_STEP = 1e-12
+# A's unit blocks: a site's (m_{2q-1}, m_{2q}) and a bond's (m_{2q-1}, ..., m_{2q+2})
+_SITE = np.array([[0, -1], [1, 0]], dtype=float)
+_BOND = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
 # rows of O per product in a banded step
 _BAND_ROWS = 16
 # channel terms per block of the sign table S: 1024 x 2n
@@ -82,52 +90,27 @@ def _check_sites(n_sites: int) -> None:
         raise ValueError(f"refusing a {n_sites}-site chain (cap {CHAIN_SITE_CAP})")
 
 
-def chain_hamiltonian(n_sites: int, omega0: float, g: float) -> np.ndarray:
-    """H as a dense 2**n x 2**n matrix, for the exact_exponential reference."""
-    _check_sites(n_sites)
-    idx = np.arange(2**n_sites)
-    excited = ((idx[:, None] >> np.arange(n_sites)) & 1).sum(axis=1)
-    h = np.diag(0.5 * omega0 * (n_sites - 2 * excited)).astype(complex)
-    for shift in range(n_sites - 1):
-        # hopping across a bond flips its two site bits wherever they differ
-        pair = 3 << shift
-        hop = idx[np.isin(idx & pair, (1 << shift, 2 << shift))]
-        h[hop, hop ^ pair] = g
-    return h
+def _generator_parts(omega0: float, g: float) -> tuple[tuple[float, np.ndarray, int], ...]:
+    """A's three parts as (rate, unit block, first site): the site blocks, then
+    the bond blocks from site 1 and from site 2 (module docstring). Each unit
+    block J squares to -I, so exp(t rate J) = cos(t rate) I + sin(t rate) J."""
+    return (omega0, _SITE, 0), (g, _BOND, 0), (g, _BOND, 1)
 
 
-def _expm_herm(h: np.ndarray, t: float) -> np.ndarray:
-    # exp(-i h t) for Hermitian h via eigendecomposition
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def _majoranas(n_sites: int) -> list[PauliString]:
-    """m_1 ... m_2n: Z on every site before q, then X (m_{2q-1}) or Y (m_{2q}) on q."""
-    out = []
-    for q in range(n_sites):
-        before, site = (1 << q) - 1, 1 << q
-        out += [PauliString(n_sites, site, before), PauliString(n_sites, site, before | site)]
-    return out
-
-
-def _rotation(u: np.ndarray, n_sites: int) -> np.ndarray:
-    """O of a gate u on n_sites sites: O_ac = Tr(u^dag m_a u m_c) / d."""
-    d = 1 << n_sites
-    m = np.zeros((2 * n_sites, d, d), dtype=complex)
-    for a, s in enumerate(_majoranas(n_sites)):
-        cols, phases = monomial(s)
-        m[a, np.arange(d), cols] = phases
-    return np.einsum("aij,cji->ac", u.conj().T @ m @ u, m).real / d
-
-
-def _layer(n_sites: int, block: np.ndarray, first: int) -> np.ndarray:
-    """The 2n x 2n rotation with `block` on sites first + 1, ..., every
-    len(block) / 2 sites from there, and the identity where no block fits."""
-    o, k = np.eye(2 * n_sites), len(block)
+def _layer(n_sites: int, block: np.ndarray, first: int, fill: float = 1.0) -> np.ndarray:
+    """The 2n x 2n matrix with `block` on sites first + 1, ..., every
+    len(block) / 2 sites from there, and fill times the identity where no
+    block fits."""
+    o, k = np.diag(np.full(2 * n_sites, fill)), len(block)
     for start in range(2 * first, 2 * n_sites - k + 1, k):
         o[start:start + k, start:start + k] = block
     return o
+
+
+def _generator(n_sites: int, omega0: float, g: float) -> np.ndarray:
+    """A, the sum of its parts."""
+    return sum(rate * _layer(n_sites, unit, first, 0.0)
+               for rate, unit, first in _generator_parts(omega0, g))
 
 
 def trotter_step_unitaries(
@@ -139,75 +122,57 @@ def trotter_step_unitaries(
     method: str = "trotter",
 ) -> tuple[np.ndarray, ...]:
     """The factors of one time step, applied left to right, each as the real
-    orthogonal 2n x 2n matrix O that rotates the Majoranas (module docstring).
+    orthogonal 2n x 2n matrix O = exp(dt A_part) that rotates the Majoranas
+    (module docstring).
 
-    "trotter" (the default) splits into an onsite phase and odd- and
-    even-bond layers of the 2-site hopping gate; the bond terms of a layer
-    commute, so each factor is exact, and up to two sites the product is the
-    exact step. Each factor's blocks are read off its 1- or 2-site gate.
-    "exact_exponential" returns the single full-step factor, read off the
-    dense exponential, and is an opt-in small-system reference, refused
-    above EXACT_SITE_CAP sites. Chains above CHAIN_SITE_CAP sites, and
-    phases omega0 * dt or g * dt that overflow a float at this chain size,
-    are refused before any matrix is built.
+    "trotter" (the default) splits the generator A into its site blocks and
+    its odd- and even-bond layers. The blocks of a part act on disjoint
+    Majoranas, so each factor is exact: its blocks are exp(dt block) and it
+    is the identity elsewhere. Up to two sites the product is the exact
+    step. "exact_exponential" returns the single full-step factor
+    exp(dt A). Chains above CHAIN_SITE_CAP sites, and phases that overflow
+    a float at this chain size, are refused before any matrix is built:
+    dt times the largest onsite energy n_sites * omega0 / 2, times omega0
+    and g, and for the exact step times the largest single-particle energy.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"need finite dt > 0, got {dt}")
     if not (math.isfinite(omega0) and math.isfinite(g)):
         raise ValueError(f"need finite omega0 and coupling g, got {omega0} and {g}")
     _check_sites(n_sites)
-    if method == "exact_exponential" and n_sites > EXACT_SITE_CAP:
-        raise ValueError(
-            f"exact_exponential is a reference for up to {EXACT_SITE_CAP} "
-            f"sites, got {n_sites}; use method='trotter'"
-        )
     if method not in ("trotter", "exact_exponential"):
         raise ValueError(f"unknown step method {method!r}")
-    # the phases over dt of the largest onsite energy, n_sites * omega0 / 2, and of a hop
-    if not (math.isfinite(0.5 * abs(omega0) * n_sites * dt) and math.isfinite(g * dt)):
+    # the largest phases: of the onsite energy n_sites * omega0 / 2, of a block's entries,
+    # and of the exact step's single-particle energies, |omega0| + 2 |g| cos(pi / (n + 1))
+    band = 2 * math.cos(math.pi / (n_sites + 1)) if method == "exact_exponential" else 0.0
+    phases = (0.5 * abs(omega0) * n_sites * dt, abs(omega0) * dt + abs(g) * dt * band, g * dt)
+    if not all(map(math.isfinite, phases)):
         raise ValueError(
             f"omega0 * dt or coupling * dt overflows at {n_sites} sites: "
             f"omega0={omega0!r}, coupling={g!r}, dt={dt!r}"
         )
     if method == "exact_exponential":
-        return (_rotation(_expm_herm(chain_hamiltonian(n_sites, omega0, g), dt), n_sites),)
-    phase = np.exp(-0.5j * omega0 * dt)
-    c, s = math.cos(g * dt), math.sin(g * dt)
-    # exp(-i g dt (sp sm + sm sp)) on |00>, |01>, |10>, |11> rotates the |01>, |10> block
-    gate = np.eye(4, dtype=complex)
-    gate[1:3, 1:3] = [[c, -1j * s], [-1j * s, c]]
-    bond = _rotation(gate, 2)
-    return (
-        _layer(n_sites, _rotation(np.diag([phase, phase.conjugate()]), 1), 0),
-        _layer(n_sites, bond, 0),
-        _layer(n_sites, bond, 1),
+        # dt A = -i v diag(w) v^dag, from one eigh of the Hermitian i dt A
+        w, v = np.linalg.eigh(1j * dt * _generator(n_sites, omega0, g))
+        return (((v * np.exp(-1j * w)) @ v.conj().T).real,)
+    return tuple(
+        _layer(n_sites, math.cos(rate * dt) * np.eye(len(unit)) + math.sin(rate * dt) * unit, first)
+        for rate, unit, first in _generator_parts(omega0, g)
     )
 
 
-def _initial_correlations(initial: DensityMatrix | str, n_steps: int) -> np.ndarray:
-    """Gamma of the state a run starts from; a bad label, then a negative step
-    count, is refused. A label's Gamma is read off its bits; a dense state's
-    through the Pauli string of each pair a < b, in O(n**2 d)."""
-    if isinstance(initial, str):
-        _check_basis_label(initial)
-        _check_sites(len(initial))
+def _initial_correlations(initial: str, n_steps: int) -> np.ndarray:
+    """Gamma of the basis state a run starts from, read off its bits; a bad
+    label, then a negative step count, is refused."""
+    _check_basis_label(initial)
+    _check_sites(len(initial))
     if n_steps < 0:
         raise ValueError(f"need n_steps >= 0, got {n_steps}")
-    if isinstance(initial, str):
-        # i m_{2q-1} m_{2q} = -Z_q, which reads 2b - 1 on bit b
-        bits = np.frombuffer(initial.encode(), dtype=np.uint8) - ord("0")
-        gamma = np.zeros((2 * len(initial),) * 2)
-        pairs = np.arange(0, len(gamma), 2)
-        gamma[pairs, pairs + 1] = 2.0 * bits - 1.0
-        return gamma - gamma.T
-    majoranas, rho = _majoranas(initial.n_qubits), initial.matrix
-    gamma = np.zeros((len(majoranas),) * 2)
-    rows = np.arange(initial.dim)
-    for a, b in zip(*np.triu_indices(len(majoranas), 1)):
-        product = multiply(majoranas[a], majoranas[b])  # m_a m_b = phase * P
-        cols, phases = monomial(product.string)  # P[j, cols[j]] = phases[j]
-        # Tr(rho i m_a m_b) = i phase sum_j rho[cols[j], j] phases[j]
-        gamma[a, b] = (1j * product.phase * (rho[cols, rows] @ phases)).real
+    # i m_{2q-1} m_{2q} = -Z_q, which reads 2b - 1 on bit b
+    bits = np.frombuffer(initial.encode(), dtype=np.uint8) - ord("0")
+    gamma = np.zeros((2 * len(initial),) * 2)
+    pairs = np.arange(0, len(gamma), 2)
+    gamma[pairs, pairs + 1] = 2.0 * bits - 1.0
     return gamma - gamma.T
 
 
@@ -267,15 +232,15 @@ def _conjugation(o: np.ndarray) -> Callable[[np.ndarray], None]:
 
 
 def evolve_occupations(
-    initial: DensityMatrix | str,
+    initial: str,
     unitaries: Sequence[np.ndarray],
     channel: PauliChannel | None,
     n_steps: int,
 ) -> np.ndarray:
     """Site occupations over time, shape (n_steps + 1, n_sites).
 
-    `initial` is a basis label or a dense state, `unitaries` are step
-    factors as `trotter_step_unitaries` returns them. Row 0 is the initial
+    `initial` is a basis label, `unitaries` are step factors as
+    `trotter_step_unitaries` returns them. Row 0 is the initial
     state; each later row follows one application of all factors (in the
     given order) and one channel round. Once per call, the factors are
     multiplied into one O and the channel's lam is built; a step is then

@@ -14,7 +14,8 @@ packed-key sums in `encoder` and `validation`. The exciton chain's dense
 Trotter factors, Hamiltonian parts and `sequential_occupations`, which
 conjugates a dense state by each factor and applies the channel term by
 term, are the oracles for the Majorana correlation-matrix evolution in
-`dynamics`; `majorana_rotation` reads a dense gate's 2n x 2n rotation.
+`dynamics`; `majorana_rotation` reads a dense gate's 2n x 2n rotation and
+`majorana_generator` a dense Hamiltonian's 2n x 2n generator.
 """
 
 import math
@@ -59,6 +60,13 @@ def majorana_rotation(u: np.ndarray, n: int) -> np.ndarray:
     """O with u^dag m_a u = sum_c O_ac m_c, as Tr(u^dag m_a u m_c) / 2**n."""
     m = majoranas_dense(n)
     return np.array([[np.trace(u.conj().T @ a @ u @ c).real for c in m] for a in m]) / 2**n
+
+
+def majorana_generator(h: np.ndarray, n: int) -> np.ndarray:
+    """A with i [h, m_a] = sum_c A_ac m_c, as Tr(i [h, m_a] m_c) / 2**n: the
+    Heisenberg derivative of the Majoranas under the Hamiltonian h."""
+    m = majoranas_dense(n)
+    return np.array([[np.trace(1j * (h @ a - a @ h) @ c).real for c in m] for a in m]) / 2**n
 
 
 def dense_chain_parts(n: int, omega0: float, g: float):

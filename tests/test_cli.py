@@ -470,8 +470,9 @@ def test_bad_chain_is_refused_before_encoding(tmp_path, capsys, monkeypatch):
     for argv in (
         ["--dt", "0"],
         ["--coupling", "1e308", "--dt", "10"],
+        # coupling * dt is finite, the exact step's largest single-particle energy is not
         ["--target", three, "--noise", three, "--n-sites", "3", "--initial", "100",
-         "--step-method", "exact_exponential"],
+         "--step-method", "exact_exponential", "--coupling", "1e308", "--dt", "1.5"],
         ["--target", wide, "--noise", wide, "--n-sites", str(n), "--initial", "1" + "0" * (n - 1)],
         ["--config", auto],
         ["--initial", "1x"],
@@ -482,6 +483,18 @@ def test_bad_chain_is_refused_before_encoding(tmp_path, capsys, monkeypatch):
         assert (code, calls) == (EXIT_USAGE, []), argv
         assert capsys.readouterr().err.startswith("noisim: "), argv
         assert not out.exists(), argv
+
+
+def test_exact_steps_run_beyond_two_sites(tmp_path):
+    three = _write(tmp_path, "three.json", {"terms": [
+        {"string": "III", "weight": 0.9}, {"string": "XII", "weight": 0.1}]})
+    out = tmp_path / "o.csv"
+    code = main(["benchmark", "--target", three, "--noise", three, "--n-sites", "3",
+                 "--initial", "100", "--n-steps", "7", "--step-method", "exact_exponential",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    # a header, then one row per step and one for the initial state
+    assert len(out.read_text().splitlines()) == 1 + 7 + 1
 
 
 def test_benchmark_needs_channels_beyond_two_sites(tmp_path):

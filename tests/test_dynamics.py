@@ -10,10 +10,10 @@ from helpers import (
     dense_chain_parts,
     dense_trotter_factors,
     expm_dense,
+    majorana_generator,
     majorana_rotation,
     majoranas_dense,
     random_channel_terms,
-    random_density,
     sequential_occupations,
 )
 from noisim.channels import DensityMatrix, PauliChannel
@@ -21,8 +21,8 @@ from noisim.dynamics import (
     CHAIN_SITE_CAP,
     BenchmarkConfig,
     _bilinear_eigenvalues,
+    _generator,
     _initial_correlations,
-    chain_hamiltonian,
     default_noise_channel,
     default_target_channel,
     evolve_occupations,
@@ -34,15 +34,21 @@ from noisim.pauli import parse
 
 
 def test_hamiltonian_onsite_spectrum():
-    h = chain_hamiltonian(2, 1.0, 0.0)
-    assert np.abs(h - np.diag([1.0, 0.0, 0.0, -1.0])).max() < 1e-15
+    # the onsite part's generator is the dense Heisenberg derivative, a
+    # 2 x 2 block per site, and each site's excitation costs omega0
+    onsite, _, _ = dense_chain_parts(2, 1.0, 0.0)
+    a = _generator(2, 1.0, 0.0)
+    assert np.abs(a - majorana_generator(onsite, 2)).max() < 1e-15
+    assert a.tolist() == [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    assert np.abs(np.linalg.eigvalsh(1j * a) - [-1, -1, 1, 1]).max() < 1e-15
 
 
 def test_hamiltonian_hopping_block():
-    h = chain_hamiltonian(2, 0.0, 1.0)
-    expected = np.zeros((4, 4))
-    expected[1, 2] = expected[2, 1] = 1.0
-    assert np.abs(h - expected).max() < 1e-15
+    # one bond's generator pairs m_2 with m_3 and m_1 with m_4
+    _, bond, _ = dense_chain_parts(2, 0.0, 1.0)
+    a = _generator(2, 0.0, 1.0)
+    assert np.abs(a - majorana_generator(bond, 2)).max() < 1e-15
+    assert a.tolist() == [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
 
 
 finite = st.floats(min_value=-10, max_value=10)
@@ -52,7 +58,6 @@ finite = st.floats(min_value=-10, max_value=10)
 @settings(max_examples=60, deadline=None)
 def test_closed_forms_match_dense_exponentials(n, omega0, g, dt):
     parts = dense_chain_parts(n, omega0, g)
-    assert np.abs(chain_hamiltonian(n, omega0, g) - sum(parts)).max() < 1e-12
     dense = dense_trotter_factors(n, omega0, g, dt)
     factors = trotter_step_unitaries(n, omega0, g, dt, method="trotter")
     assert len(factors) == 3
@@ -61,9 +66,8 @@ def test_closed_forms_match_dense_exponentials(n, omega0, g, dt):
         # each factor is the rotation its dense unitary applies to the Majoranas
         assert o.shape == (2 * n, 2 * n) and o.dtype == float
         assert np.abs(o - majorana_rotation(u, n)).max() < 1e-12
-    if n <= 2:
-        (exact,) = trotter_step_unitaries(n, omega0, g, dt, method="exact_exponential")
-        assert np.abs(exact - majorana_rotation(expm_dense(sum(parts), dt), n)).max() < 1e-12
+    (exact,) = trotter_step_unitaries(n, omega0, g, dt, method="exact_exponential")
+    assert np.abs(exact - majorana_rotation(expm_dense(sum(parts), dt), n)).max() < 1e-12
 
 
 def test_single_site_bond_factors_are_identity():
@@ -94,42 +98,9 @@ def test_single_excitation_rabi_oscillation():
 def test_basis_labels_read_as_their_bits():
     assert evolve_occupations("10", (), None, 0).tolist() == [[1.0, 0.0]]
     assert evolve_occupations("011", (), None, 1).tolist() == [[0.0, 1.0, 1.0]] * 2
-    dense = DensityMatrix.from_basis_label("011")
-    assert evolve_occupations(dense, (), None, 0).tolist() == [[0.0, 1.0, 1.0]]
     # a label's Gamma holds -<Z_q> = 2b - 1 at (2q - 1, 2q), antisymmetric, zero elsewhere
     gamma = _initial_correlations("10", 0)
     assert gamma.tolist() == [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-
-def _masked_occupations(diag, n):
-    """One masked sum per site: site q is bit n - q of the basis index."""
-    idx = np.arange(diag.size)
-    return np.array([diag[(idx & (1 << (n - q))) != 0].sum() for q in range(1, n + 1)])
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10))
-@settings(max_examples=100, deadline=None)
-def test_dense_state_occupations_match_masked_sums(seed, n):
-    rng = np.random.default_rng(seed)
-    # powers of uniform draws spread the weights over several scales
-    diag = rng.random(2**n) ** int(rng.integers(1, 6))
-    diag /= diag.sum()
-    # a diagonal state with a unit-trace, nonnegative diagonal, built without the
-    # constructor's 1024 x 1024 eigensolve
-    occ = evolve_occupations(DensityMatrix._known(np.diag(diag).astype(complex)), (), None, 0)[0]
-    oracle = _masked_occupations(diag, n)
-    # the two sums add the same terms in different orders
-    assert np.abs(occ - oracle).max() <= 8 * np.finfo(float).eps * diag.sum()
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=5))
-@settings(max_examples=40, deadline=None)
-def test_dense_state_correlations_match_majorana_expectations(seed, n):
-    rng = np.random.default_rng(seed)
-    rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
-    m = majoranas_dense(n)
-    oracle = np.array([[0.0 if a is b else np.trace(rho @ (1j * a @ b)).real for b in m] for a in m])
-    assert np.abs(_initial_correlations(DensityMatrix(rho), 0) - oracle).max() < 1e-14
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
@@ -158,20 +129,24 @@ def test_channel_eigenvalues_sum_over_blocks_of_terms(monkeypatch):
 
 
 def test_onsite_energies_match_popcount():
-    # the Hamiltonian's diagonal: each excited site lowers omega0 * n / 2 by omega0
+    # a basis state's energy <H> = sum_ab A_ab Gamma_ab / 4: each excited site
+    # lowers omega0 * n / 2 by omega0, and hopping has no expectation there
     for n in range(1, 11):
-        excited = np.array([i.bit_count() for i in range(2**n)])
         for omega0 in (1.0, -0.37, 2.5e3):
-            onsite = np.diagonal(chain_hamiltonian(n, omega0, 0.0))
-            assert np.array_equal(onsite, 0.5 * omega0 * (n - 2 * excited))
+            a = _generator(n, omega0, 0.7)
+            for i in range(2**n):
+                gamma = _initial_correlations(format(i, f"0{n}b"), 0)
+                energy = 0.5 * omega0 * (n - 2 * i.bit_count())
+                assert (a * gamma).sum() / 4 == pytest.approx(energy, abs=1e-15 * abs(omega0) * n)
 
 
 def test_step_unitaries_are_unitary():
     # each factor is real and orthogonal, so it is unitary too
-    for method, n in (("trotter", 3), ("trotter", 64), ("exact_exponential", 2)):
-        for o in trotter_step_unitaries(n, 1.0, 0.5, 0.1, method=method):
-            assert o.dtype == float and o.shape == (2 * n, 2 * n)
-            assert np.abs(o @ o.T - np.eye(2 * n)).max() < 1e-12
+    for method in ("trotter", "exact_exponential"):
+        for n in (2, 3, 64):
+            for o in trotter_step_unitaries(n, 1.0, 0.5, 0.1, method=method):
+                assert o.dtype == float and o.shape == (2 * n, 2 * n)
+                assert np.abs(o @ o.T - np.eye(2 * n)).max() < 1e-12
 
 
 def test_trotter_error_is_first_order():
@@ -189,9 +164,21 @@ def test_trotter_error_is_first_order():
     assert 1.7 < devs[0] / devs[1] < 2.3
 
 
+def test_trotter_deviation_halves_with_dt_at_64_sites():
+    # first-order splitting, measured against the exact step where no dense oracle reaches
+    n, t_final, initial = 64, 2.0, "1" + "0" * 63
+    devs = []
+    for dt in (0.05, 0.025):
+        steps = round(t_final / dt)
+        split = trotter_step_unitaries(n, 1.0, 0.5, dt)
+        exact = trotter_step_unitaries(n, 1.0, 0.5, dt, method="exact_exponential")
+        occ_split = evolve_occupations(initial, split, None, steps)
+        occ_exact = evolve_occupations(initial, exact, None, steps)
+        devs.append(np.abs(occ_split - occ_exact).max())
+    assert 1.8 < devs[0] / devs[1] < 2.2
+
+
 def test_exact_exponential_is_small_system_reference():
-    with pytest.raises(ValueError, match="trotter"):
-        trotter_step_unitaries(4, 1.0, 0.5, 0.05, method="exact_exponential")
     with pytest.raises(ValueError):
         trotter_step_unitaries(2, 1.0, 0.5, 0.05, method="magic")
     with pytest.raises(ValueError):
@@ -216,16 +203,24 @@ def test_exact_exponential_is_small_system_reference():
 
 def test_phases_that_overflow_are_refused():
     # finite inputs whose product with dt, at this chain size, is not finite
-    for method, n in (("trotter", 3), ("exact_exponential", 2)):
+    cases = (("trotter", 3), ("exact_exponential", 2), ("exact_exponential", 3),
+             ("exact_exponential", 64))
+    for method, n in cases:
         for omega0, g, dt in ((1e308, 0.5, 1e300), (1.0, 1e308, 1e300), (-1e308, 0.5, 1e300)):
             with pytest.raises(ValueError, match=f"overflows at {n} sites: omega0="):
                 trotter_step_unitaries(n, omega0, g, dt, method=method)
-        # finite phases are built, and every factor is finite
-        for u in trotter_step_unitaries(n, 1e308 / n, 1e308, 1.0, method=method):
+        # finite phases are built, and every factor is finite; the exact step's largest
+        # single-particle energy, omega0 + 2 g cos(pi / (n + 1)), stays below the float range
+        g = 1e308 if n <= 3 else 5e307
+        for u in trotter_step_unitaries(n, 1e308 / n, g, 1.0, method=method):
             assert np.isfinite(u).all()
     # n * omega0 / 2 overflows at 3 sites even though omega0 * dt does not
     with pytest.raises(ValueError, match="overflows at 3 sites"):
         trotter_step_unitaries(3, 1.2e308, 0.5, 1.0)
+    # at 64 sites the exact step's single-particle energies overflow, though g * dt does not
+    with pytest.raises(ValueError, match="overflows at 64 sites"):
+        trotter_step_unitaries(64, 1e308 / 64, 1e308, 1.0, method="exact_exponential")
+    assert len(trotter_step_unitaries(64, 1e308 / 64, 1e308, 1.0)) == 3
 
 
 @given(
@@ -237,10 +232,7 @@ def test_phases_that_overflow_are_refused():
 )
 @settings(max_examples=60, deadline=None)
 def test_evolution_matches_sequential_dense_oracle(seed, n, factors, with_channel, dt):
-    # random labels at every size, random dense states up to 5 qubits
     rng = np.random.default_rng(seed)
-    if factors == "exact_exponential" and n > 2:
-        factors = "trotter"
     omega0, g = rng.uniform(-2, 2, size=2)
     if factors == "none":
         rotations, dense = (), ()
@@ -252,12 +244,8 @@ def test_evolution_matches_sequential_dense_oracle(seed, n, factors, with_channe
         )
     terms = random_channel_terms(rng, n, max_terms=10) if with_channel else None
     channel = PauliChannel(terms) if with_channel else None
-    if n <= 5 and rng.integers(0, 2):
-        rho = random_density(rng, 2**n, pure=bool(rng.integers(0, 2)))
-        initial = DensityMatrix(rho)
-    else:
-        initial = "".join(rng.choice(["0", "1"], size=n))
-        rho = DensityMatrix.from_basis_label(initial).matrix
+    initial = "".join(rng.choice(["0", "1"], size=n))
+    rho = DensityMatrix.from_basis_label(initial).matrix
     n_steps = int(rng.integers(0, 5))
     occ = evolve_occupations(initial, rotations, channel, n_steps)
     expected = sequential_occupations(rho, dense, terms, n, n_steps)
@@ -291,8 +279,9 @@ def test_evolution_validation():
         evolve_occupations("10", (u,), None, -1)
     with pytest.raises(ValueError):
         evolve_occupations("10", (u,), PauliChannel([(1.0, "I")]), 10)
-    # a one-dimensional state has no sites, so each row is empty
-    assert evolve_occupations(DensityMatrix(np.eye(1)), (), None, 2).shape == (3, 0)
+    # a run starts from a basis label, and a dense state is not one
+    with pytest.raises(ValueError, match=r"bitstring, got DensityMatrix\(dim=4\)"):
+        evolve_occupations(DensityMatrix.from_basis_label("10"), (), None, 2)
 
 
 def test_default_benchmark_recovers_target_evolution():
