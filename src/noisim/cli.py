@@ -20,12 +20,12 @@ from .serialize import (
     benchmark_rows,
     certificate_to_dict,
     channel_from_dict,
-    cluster_to_dict,
     json_value,
     load_channel,
     load_json,
     sample_rows,
     save_channel,
+    write_cluster,
     write_csv,
     write_encoding,
     write_json,
@@ -154,7 +154,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     generators = load_channel(args.noise).support if args.noise else args.generators
     cluster = analyze_cluster(args.node, generators)
-    write_json(cluster_to_dict(cluster), args.out)
+    write_cluster(cluster, args.out)
     print(
         f"cluster of {cluster.node.text}: branching {cluster.branching_dimension}, "
         f"size {cluster.cluster_dimension}, all-to-all {cluster.all_to_all}, "

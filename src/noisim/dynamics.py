@@ -36,7 +36,8 @@ Bravyi and Koenig, QIC 12, 925 (2012)), and site q's occupation is
 (1 + Gamma_{2q-1,2q}) / 2. `trotter_step_unitaries` returns each factor as
 its O, `evolve_occupations` evolves Gamma from a basis label. A Trotter
 step's O is banded, so a step costs O(n**2); the exact step's O is dense,
-so a step costs O(n**3). Chains above CHAIN_SITE_CAP sites are refused.
+so a step costs O(n**3), one product from each side of Gamma. Chains above
+CHAIN_SITE_CAP sites are refused.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkResult",
     "CHAIN_SITE_CAP",
+    "EXACT_ORTHOGONALITY_BOUND",
     "EXACT_SITE_CAP",
     "GAP_SLACK_PER_STEP",
     "default_noise_channel",
@@ -74,6 +76,11 @@ CHAIN_SITE_CAP = 512
 EXACT_SITE_CAP = CHAIN_SITE_CAP
 # rounding allowance per step in the benchmark's gap bound
 GAP_SLACK_PER_STEP = 1e-12
+# the largest entry of |O O^T - I| accepted from the exact step. Rounding
+# leaves under 1e-14 at ordinary phases, up to 512 sites; eigh's eigenphases
+# err by about phase * 1e-16, so at 8 sites the defect is 4e-9 at phase 3e11,
+# 2e-5 at 3e13 and 0.5 at 3e16
+EXACT_ORTHOGONALITY_BOUND = 1e-9
 # A's unit blocks: a site's (m_{2q-1}, m_{2q}) and a bond's (m_{2q-1}, ..., m_{2q+2})
 _SITE = np.array([[0, -1], [1, 0]], dtype=float)
 _BOND = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
@@ -134,6 +141,9 @@ def trotter_step_unitaries(
     a float at this chain size, are refused before any matrix is built:
     dt times the largest onsite energy n_sites * omega0 / 2, times omega0
     and g, and for the exact step times the largest single-particle energy.
+    An exact step whose O is off orthogonal by more than
+    EXACT_ORTHOGONALITY_BOUND in any entry of O O^T - I, as happens at
+    phases from about 1e11 on, is refused.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"need finite dt > 0, got {dt}")
@@ -154,7 +164,15 @@ def trotter_step_unitaries(
     if method == "exact_exponential":
         # dt A = -i v diag(w) v^dag, from one eigh of the Hermitian i dt A
         w, v = np.linalg.eigh(1j * dt * _generator(n_sites, omega0, g))
-        return (((v * np.exp(-1j * w)) @ v.conj().T).real,)
+        o = ((v * np.exp(-1j * w)) @ v.conj().T).real
+        defect = float(np.abs(o @ o.T - np.eye(len(o))).max())
+        if not defect <= EXACT_ORTHOGONALITY_BOUND:
+            raise ValueError(
+                f"exact step at phase {phases[1]:.6g} (dt times the largest single-particle "
+                f"energy) is not orthogonal: |O O^T - I| = {defect:.3g} > "
+                f"EXACT_ORTHOGONALITY_BOUND = {EXACT_ORTHOGONALITY_BOUND:g}"
+            )
+        return (o,)
     return tuple(
         _layer(n_sites, math.cos(rate * dt) * np.eye(len(unit)) + math.sin(rate * dt) * unit, first)
         for rate, unit, first in _generator_parts(omega0, g)
@@ -212,12 +230,16 @@ def _step_rotation(factors: Sequence[np.ndarray]) -> np.ndarray:
 def _conjugation(o: np.ndarray) -> Callable[[np.ndarray], None]:
     """gamma -> O gamma O^T, in place. Where O is zero off a band |a - c| <= w,
     each block of _BAND_ROWS rows (columns) of O multiplies only the rows
-    (columns) of gamma that its band reaches."""
+    (columns) of gamma that its band reaches. When every block's band reaches
+    every row, as for the exact step's dense O, each side is one product."""
     m = len(o)
     a, c = np.nonzero(o)
     w = int(np.abs(a - c).max(initial=0))
-    bands = [(slice(r, r + _BAND_ROWS), slice(max(r - w, 0), r + _BAND_ROWS + w))
-             for r in range(0, m, _BAND_ROWS)]
+    if w >= (m - 1) // _BAND_ROWS * _BAND_ROWS:  # the last block's band reaches row 0
+        bands = [(slice(0, m), slice(0, m))]
+    else:
+        bands = [(slice(r, r + _BAND_ROWS), slice(max(r - w, 0), r + _BAND_ROWS + w))
+                 for r in range(0, m, _BAND_ROWS)]
     left = [(rows, cols, o[rows, cols].copy()) for rows, cols in bands]
     right = [(rows, cols, o[rows, cols].T.copy()) for rows, cols in bands]
     half = np.empty((m, m))

@@ -19,7 +19,7 @@ from noisim.cli import (
     build_parser,
     main,
 )
-from noisim.clusters import ORBIT_RANK_CAP
+from noisim.clusters import ORBIT_RANK_CAP, Cluster
 from noisim.dynamics import CHAIN_SITE_CAP, BenchmarkConfig
 from noisim.encoder import effective_channel, encode_adaptive, encode_fixed
 from noisim.pauli import MATRIX_QUBIT_CAP, parse
@@ -203,6 +203,18 @@ def test_cluster_command(files, capsys):
     assert data["branching_dimension"] == 2
     assert data["cluster_dimension"] == 4
     assert "all-to-all False" in capsys.readouterr().out
+
+
+def test_cluster_command_spells_no_member_text(tmp_path, monkeypatch):
+    # the report is written from the letter rows; a str per member is never built
+    def refuse(self):
+        raise AssertionError("member_texts read")
+
+    monkeypatch.setattr(Cluster, "member_texts", property(refuse))
+    out = tmp_path / "c.json"
+    code = main(["cluster", "--node", "YI", "--generators", "XX", "ZZ", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["members"] == ["IY", "XZ", "YI", "ZX"]
 
 
 def test_cluster_above_rank_cap_exits_one(tmp_path, capsys):
@@ -639,6 +651,21 @@ def test_benchmark_phase_overflow_exits_one(files, capsys):
         assert err.startswith("noisim: ") and err.count("\n") == 1, err
         assert "overflows at 2 sites" in err and inputs in err and "dt=1e+300" in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1e13", "1e16"])
+def test_benchmark_exact_step_far_from_orthogonal_exits_one(files, capsys, rate):
+    # finite phases, but eigh's rounding leaves the exact step's O off orthogonal
+    out = files["dir"] / "o.csv"
+    code = main(["benchmark", "--target", files["bench_target"], "--noise", files["bench_noise"],
+                 "--step-method", "exact_exponential", "--omega0", rate, "--coupling", rate,
+                 "--dt", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    phase = float(rate) + 2 * float(rate) * math.cos(math.pi / 3)
+    assert err.startswith("noisim: ") and err.count("\n") == 1, err
+    assert f"exact step at phase {phase:.6g}" in err and "not orthogonal" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("p", ["600", "1e308"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from helpers import (
 from noisim.channels import DensityMatrix, PauliChannel
 from noisim.dynamics import (
     CHAIN_SITE_CAP,
+    EXACT_ORTHOGONALITY_BOUND,
     BenchmarkConfig,
     _bilinear_eigenvalues,
     _generator,
     _initial_correlations,
+    _step_rotation,
     default_noise_channel,
     default_target_channel,
     evolve_occupations,
@@ -209,11 +212,16 @@ def test_phases_that_overflow_are_refused():
         for omega0, g, dt in ((1e308, 0.5, 1e300), (1.0, 1e308, 1e300), (-1e308, 0.5, 1e300)):
             with pytest.raises(ValueError, match=f"overflows at {n} sites: omega0="):
                 trotter_step_unitaries(n, omega0, g, dt, method=method)
-        # finite phases are built, and every factor is finite; the exact step's largest
-        # single-particle energy, omega0 + 2 g cos(pi / (n + 1)), stays below the float range
+        # finite phases pass the overflow check: the exact step's largest single-particle
+        # energy, omega0 + 2 g cos(pi / (n + 1)), stays below the float range. Trotter
+        # factors are built finite; the exact step's O is far from orthogonal there
         g = 1e308 if n <= 3 else 5e307
-        for u in trotter_step_unitaries(n, 1e308 / n, g, 1.0, method=method):
-            assert np.isfinite(u).all()
+        if method == "trotter":
+            for u in trotter_step_unitaries(n, 1e308 / n, g, 1.0, method=method):
+                assert np.isfinite(u).all()
+        else:
+            with pytest.raises(ValueError, match="not orthogonal"):
+                trotter_step_unitaries(n, 1e308 / n, g, 1.0, method=method)
     # n * omega0 / 2 overflows at 3 sites even though omega0 * dt does not
     with pytest.raises(ValueError, match="overflows at 3 sites"):
         trotter_step_unitaries(3, 1.2e308, 0.5, 1.0)
@@ -221,6 +229,25 @@ def test_phases_that_overflow_are_refused():
     with pytest.raises(ValueError, match="overflows at 64 sites"):
         trotter_step_unitaries(64, 1e308 / 64, 1e308, 1.0, method="exact_exponential")
     assert len(trotter_step_unitaries(64, 1e308 / 64, 1e308, 1.0)) == 3
+
+
+@pytest.mark.parametrize("rate", [1e13, 1e16])
+def test_exact_step_far_from_orthogonal_is_refused(rate):
+    # eigh's eigenphases carry errors near rate * 1e-16, so at 8 sites O O^T - I
+    # reaches 2e-5 at 1e13 and 0.5 at 1e16; the message names the phase
+    phase = rate + 2 * rate * math.cos(math.pi / 9)
+    message = re.escape(f"exact step at phase {phase:.6g} ") + ".* not orthogonal"
+    with pytest.raises(ValueError, match=message):
+        trotter_step_unitaries(8, rate, rate, 1.0, method="exact_exponential")
+    # the Trotter factors are cos/sin blocks, orthogonal to rounding at any phase
+    o = _step_rotation(trotter_step_unitaries(8, rate, rate, 1.0))
+    assert np.abs(o @ o.T - np.eye(16)).max() < 1e-12
+
+
+def test_exact_step_at_ordinary_phases_is_orthogonal():
+    for n in (1, 8, 64):
+        (o,) = trotter_step_unitaries(n, 1.0, 0.5, 0.05, method="exact_exponential")
+        assert np.abs(o @ o.T - np.eye(2 * n)).max() <= EXACT_ORTHOGONALITY_BOUND / 1000
 
 
 @given(

@@ -30,7 +30,7 @@ from noisim.encoder import (
     encode,
     encode_adaptive,
 )
-from noisim.pauli import parse
+from noisim.pauli import PauliString, identity, multiply, parse
 from noisim.sampling import run_trials
 from noisim.serialize import (
     benchmark_rows,
@@ -42,6 +42,7 @@ from noisim.serialize import (
     load_channel,
     sample_rows,
     save_channel,
+    write_cluster,
     write_csv,
     write_encoding,
     write_json,
@@ -479,6 +480,48 @@ def test_cluster_and_certificate_dicts():
     assert data["p"] == "inf"
     assert data["renyi_entropy"] is None
     json.dumps(data)
+
+
+@st.composite
+def cluster_cases(draw):
+    """A node and generators on 1-8 qubits of rank 0 to 2n: independent
+    strings mixed upward from a random choice of single X and Z letters,
+    plus identities, repeats and products of two of them, in any order."""
+    n = draw(st.integers(1, 8))
+    units = draw(st.permutations([PauliString(n, 1 << q, 0) for q in range(n)]
+                                 + [PauliString(n, 0, 1 << q) for q in range(n)]))
+    rank = draw(st.integers(0, 2 * n))
+    independent = []
+    for i in range(rank):
+        g = units[i]
+        for later in units[i + 1:rank]:
+            if draw(st.booleans()):
+                g = multiply(g, later).string
+        independent.append(g)
+    extra = draw(st.lists(st.sampled_from(independent or [identity(n)]), max_size=3))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(independent), st.sampled_from(independent)),
+                          max_size=3)) if independent else []
+    generators = independent + extra + [multiply(a, b).string for a, b in pairs]
+    generators += [identity(n)] * draw(st.integers(0, 2))
+    node = PauliString(n, draw(st.integers(0, 2**n - 1)), draw(st.integers(0, 2**n - 1)))
+    return node, draw(st.permutations(generators)), rank
+
+
+@given(cluster_cases(), st.integers(1, 300))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_cluster_matches_write_json(tmp_path, monkeypatch, case, chunk_bytes):
+    # a small chunk splits the members' lines into many writes, or one line per write
+    monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk_bytes)
+    node, generators, rank = case
+    cluster = analyze_cluster(node, generators)
+    assert cluster.cluster_dimension == 2**rank
+    texts = [s.text for s in cluster.members]
+    assert list(cluster.member_texts) == sorted(texts) and len(set(texts)) == 2**rank
+    by_cluster, by_dict = tmp_path / "by-cluster.json", tmp_path / "by-dict.json"
+    write_cluster(cluster, by_cluster)
+    write_json(cluster_to_dict(cluster), by_dict)
+    assert by_cluster.read_bytes() == by_dict.read_bytes()
+    assert by_cluster.read_text() == _dumps(cluster_to_dict(cluster))
 
 
 def test_benchmark_and_sample_rows():
