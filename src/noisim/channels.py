@@ -1,31 +1,19 @@
 """Density matrices and Pauli channels.
 
-A Pauli channel E(rho) = sum_P w_P P rho P is diagonal in the Pauli basis.
-Writing P = X**x Z**z on index bits and k = i ^ j,
-
-    E(rho)[i, i ^ k] = sum_x A[x, k] rho[i ^ x, i ^ x ^ k],
-    A[x, k] = sum_z w(x, z) (-1)**(z . k),
-
-an XOR convolution over i for each k. A Walsh-Hadamard transform over i
-diagonalizes it, and the multipliers are the Pauli eigenvalues
-
-    lam[s, k] = sum_P w_P (-1)**(x_P . s + z_P . k),
-
-the 2-D transform of the d x d weight table (Flammia and Wallman,
-arXiv:1907.12976). So a channel applies through two transforms of a
-d x d array, whatever its number of terms. A map is built once per
-channel: its eigenvalue table, Hadamard factors and flat XOR index serve
-every state it is applied to.
+A Pauli channel E(rho) = sum_P w_P P rho P^dag is applied term by term
+through `pauli.monomial`: P has one nonzero entry per row, phases[i] at
+column cols[i], so (P rho P^dag)[i, j] = phases[i] rho[cols[i], cols[j]]
+conj(phases[j]), one gather and two scalings of a d x d array per term.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, PauliString, _check_dense_size, _index_bits, _parity_signs, parse
+from .pauli import MATRIX_QUBIT_CAP, PauliString, _check_dense_size, monomial, parse
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -179,52 +167,16 @@ def apply_pauli_channel(channel: PauliChannel, rho: DensityMatrix) -> DensityMat
         raise ValueError(
             f"state dim {rho.dim} incompatible with {channel.n_qubits} qubits"
         )
-    return DensityMatrix._known(_pauli_map(channel.n_qubits, channel.terms)(rho.matrix))
+    return DensityMatrix._known(_pauli_sum(channel.terms, rho.matrix))
 
 
-def _pauli_map(
-    n_qubits: int, terms: Iterable[tuple[float, PauliString]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """rho -> sum_P w_P P rho P over (weight, string) pairs, on complex d x d
-    arrays, hermitized; the weights may be signed.
-
-    The Hadamard factors, the flat XOR index and the eigenvalue table are built
-    once per map (index and table hold 8 MiB each at 10 qubits). The table's
-    lam[s, k] is the eigenvalue of the string with z bits s and x bits k, both
-    in index order (`pauli._index_bits`: qubit 1 the most significant bit).
-    """
-    d = 1 << n_qubits
-    # the 2**n-point Walsh-Hadamard transform is H_hi x H_lo, so two batched products
-    # with Hadamard matrices of about 2**(n/2) rows replace one d x d product
-    hi, lo = (np.arange(1 << k) for k in (n_qubits // 2, n_qubits - n_qubits // 2))
-    h_hi, h_lo = _parity_signs(hi[:, None] & hi), _parity_signs(lo[:, None] & lo)
-    # np.take(m, xor_index)[i, k] = m[i, i ^ k], C-ordered whatever m's layout; self-inverse
-    rows = np.arange(d)[:, None]
-    xor_index = rows * d + (rows ^ np.arange(d))
-
-    def wht(m: np.ndarray) -> None:
-        """Unnormalized transform along axis 0 of a real 2-D array, in place; only
-        arrays the map made reach it, and their reshapes are views, not copies."""
-        half = h_hi @ m.reshape(len(hi), -1)
-        np.matmul(h_lo, half.reshape(len(hi), len(lo), -1), out=m.reshape(len(hi), len(lo), -1))
-
-    table = np.zeros((d, d))
+def _pauli_sum(terms: Iterable[tuple[float, PauliString]], matrix: np.ndarray) -> np.ndarray:
+    """sum_P w_P P m P^dag over (weight, string) pairs on a d x d array, hermitized;
+    the weights may be signed."""
+    out = np.zeros(matrix.shape, dtype=complex)
     for w, s in terms:
-        table[_index_bits(s.z_mask, n_qubits), _index_bits(s.x_mask, n_qubits)] += w
-    # lam = H W H with W[x, z]: transform the transposed table, transpose, transform
-    wht(table)
-    table = np.ascontiguousarray(table.T)
-    wht(table)
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        g = np.take(rho, xor_index)  # g[i, k] = rho[i, i ^ k]
-        wht(g.view(float))
-        g *= table
-        wht(g.view(float))
-        g = np.take(g, xor_index)
-        g += g.conj().T
-        # the inverse transform's 1/d, a power of two, folds exactly into the 1/2
-        g *= 0.5 / d
-        return g
-
-    return apply
+        cols, phases = monomial(s)
+        out += (w * phases)[:, None] * matrix[np.ix_(cols, cols)] * phases.conj()
+    out += out.conj().T
+    out *= 0.5
+    return out

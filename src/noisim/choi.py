@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _check_basis_label, _pauli_map
+from .channels import EIGENVALUE_FLOOR, DensityMatrix, PauliChannel, _check_basis_label, _pauli_sum
 from .pauli import PauliString, _check_dense_size, monomial
 
 __all__ = [
@@ -124,9 +124,13 @@ def renyi_entropy(rho: np.ndarray | DensityMatrix, p: float) -> float:
     if not p > 0:
         raise ValueError(f"Renyi order must be positive, got {p}")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    # eigvalsh can return a finite spectrum for a matrix holding NaN or inf
+    if not np.isfinite(mat).all():
+        raise ValueError("state has a non-finite entry")
     eig = np.linalg.eigvalsh(mat)
-    if eig.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"state has eigenvalue {eig.min():.3e} below {EIGENVALUE_FLOOR}")
+    lo = eig.min()
+    if not lo >= EIGENVALUE_FLOOR:
+        raise ValueError(f"state has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR}")
     eig = np.clip(eig, 0.0, None)
     if math.isinf(p):
         entropy = -math.log(eig.max())
@@ -285,8 +289,8 @@ def _dense_distances(
     """||DE(rho)||_p and the Schatten norm of the d**2 x T column matrix B."""
     _check_dense_size(n_qubits, "certificate column matrix", CHOI_QUBIT_CAP)
     d = rho.dim
-    # E_a - E_b is the Pauli map with weights Dw, applied once
-    delta_out = _pauli_map(n_qubits, ((dw, s) for s, dw in delta_w.items()))(rho.matrix)
+    # E_a - E_b is the Pauli sum with weights Dw, applied once
+    delta_out = _pauli_sum(((dw, s) for s, dw in delta_w.items()), rho.matrix)
     # column P of B is Dw_P vec(P rho) / sqrt(d), vec stacking rows
     columns = np.empty((d * d, len(delta_w)), dtype=complex)
     for k, (s, dw) in enumerate(delta_w.items()):

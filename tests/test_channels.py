@@ -9,7 +9,7 @@ from noisim.channels import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
     PauliChannel,
-    _pauli_map,
+    _pauli_sum,
     apply_pauli_channel,
 )
 from noisim.pauli import MATRIX_QUBIT_CAP, identity, parse
@@ -98,28 +98,28 @@ def test_eigenvalue_apply_matches_dense_oracle_up_to_six_qubits(seed, n, full, p
 
 
 def test_map_reads_a_noncontiguous_input_like_its_copy():
-    # the transform works in place on arrays the map allocates, so a view of
-    # another layout must come out as its copy does, not be lost in a reshape
+    # the sum gathers from its input by index, so a view of another layout
+    # must come out as its copy does
     rng = np.random.default_rng(5)
     for n in range(1, 7):
         terms = random_channel_terms(rng, n, max_terms=8)
-        channel_map = _pauli_map(n, PauliChannel(terms).terms)
+        channel_terms = PauliChannel(terms).terms
         rho = random_density(rng, 2**n).T
         assert not rho.flags.c_contiguous
-        out = channel_map(rho)
-        assert np.array_equal(out, channel_map(np.ascontiguousarray(rho))), n
+        out = _pauli_sum(channel_terms, rho)
+        assert np.array_equal(out, _pauli_sum(channel_terms, np.ascontiguousarray(rho))), n
         assert np.abs(out - apply_channel_dense(terms, rho)).max() < 1e-12, n
 
 
 def test_identity_map_returns_an_integer_matrix_exactly():
-    # integer entries keep every partial sum of both transforms exact, and the
-    # 1/(2d) is a power of two, so the identity channel must return the same bits,
-    # up to the largest map that can be built
+    # weight 1 and unit phases scale integer entries exactly, and so does the
+    # hermitization's 1/2, so the identity channel must return the same bits,
+    # up to the largest dense state
     rng = np.random.default_rng(3)
     for n in range(1, MATRIX_QUBIT_CAP + 1):
         a = rng.integers(-9, 10, size=(2**n, 2**n)) + 1j * rng.integers(-9, 10, size=(2**n, 2**n))
         m = a + a.conj().T
-        assert np.array_equal(_pauli_map(n, [(1.0, identity(n))])(m), m), n
+        assert np.array_equal(_pauli_sum([(1.0, identity(n))], m), m), n
 
 
 @given(seeds, st.integers(min_value=1, max_value=3), st.sampled_from(["random", "full", "signed"]))
@@ -132,12 +132,12 @@ def test_eigenvalue_table_is_the_pauli_spectrum(seed, n, weights):
         terms = random_channel_terms(rng, n, max_terms=8)
     if weights == "signed":  # a difference of two channels, as theorem1_check passes
         terms = [(w * sign, t) for (w, t), sign in zip(terms, rng.choice([-1.0, 1.0], len(terms)))]
-    channel_map = _pauli_map(n, [(w, parse(t)) for w, t in terms])
+    pauli_terms = [(w, parse(t)) for w, t in terms]
     for text in all_texts(n):
         q = dense_string(text)
         # every string is an eigenvector, with eigenvalue Tr(P E(P)) / d
         expected = np.trace(q @ apply_channel_dense(terms, q)).real / 2**n
-        assert np.abs(channel_map(q.astype(complex)) - expected * q).max() < 1e-12
+        assert np.abs(_pauli_sum(pauli_terms, q) - expected * q).max() < 1e-12
 
 
 @given(seeds)

@@ -93,6 +93,14 @@ def test_renyi_entropy_limits():
         renyi_entropy(pure, 0)
 
 
+def test_renyi_entropy_refuses_non_finite_entries():
+    # eigvalsh gives [0, -0] for the NaN matrix, which would read as a pure state
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                renyi_entropy(np.array([[bad, 0.0], [0.0, 1.0]]), p)
+
+
 def test_renyi_entropy_of_a_pure_state_is_positive_zero():
     # a negative factor p / (1 - p) times ln 1 would be -0.0, which JSON writes
     for label in ("0", "01", "110"):
@@ -269,6 +277,11 @@ def test_closed_form_distances_match_dense_choi_states(pair, p):
     assert report.choi_distance == pytest.approx(schatten_norm(delta, p), rel=1e-12)
     assert report.weighted_choi_distance == pytest.approx(
         schatten_norm(weighting @ delta, p), rel=1e-12
+    )
+    # DE(rho) from the dense oracle; near 0 only rounding is left to compare
+    delta_out = [apply_channel_dense([(w, s.text) for w, s in c.terms], rho.matrix) for c in (a, b)]
+    assert report.output_distance == pytest.approx(
+        schatten_norm(delta_out[0] - delta_out[1], p), rel=1e-12, abs=1e-14
     )
 
 
