@@ -40,8 +40,8 @@ def _check_basis_label(label: str) -> None:
 class DensityMatrix:
     """A validated quantum state.
 
-    Construction checks hermiticity (entrywise, 1e-10), unit trace (1e-10)
-    and spectrum above -1e-9; each check also fails on NaN. The dense
+    Construction refuses a NaN or infinite entry, then checks hermiticity
+    (entrywise, 1e-10), unit trace (1e-10) and spectrum above -1e-9. The dense
     constructors refuse more than MATRIX_QUBIT_CAP qubits before allocating.
     States by construction skip the checks: the projector of from_basis_label,
     the I/d of maximally_mixed and the output of apply_pauli_channel.
@@ -53,6 +53,9 @@ class DensityMatrix:
         arr = np.array(matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError(f"density matrix must be square and nonempty, got shape {arr.shape}")
+        # eigvalsh can return a finite spectrum for a matrix holding NaN or inf
+        if not np.isfinite(arr).all():
+            raise ValueError("density matrix has a non-finite entry")
         herm = np.abs(arr - arr.conj().T).max()
         if not herm <= HERMITICITY_ATOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")

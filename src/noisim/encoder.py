@@ -365,8 +365,8 @@ def effective_channel(result: EncodingResult) -> PauliChannel:
             contribs.setdefault(image, []).append(step.mass * w)
     terms = [(math.fsum(parts), _string(strings, n, k)) for k, parts in contribs.items()]
     total = math.fsum(w for w, _ in terms)
-    # the same tolerance PauliChannel applies to its weight sum
-    if total > 1.0 + WEIGHT_SUM_ATOL:
+    # the same tolerance PauliChannel applies to its weight sum; a NaN fails it
+    if not total <= 1.0 + WEIGHT_SUM_ATOL:
         raise OverEncodedError(total)
     terms.append((max(1.0 - total, 0.0), _string(strings, n, 0)))
     return PauliChannel(terms)

@@ -6,13 +6,18 @@ thread count, scheduling order and rerun count cannot change a single
 draw. Each worker sums the counts of one contiguous block of trials.
 
 Building that generator costs about twenty times as much as drawing a
-100-step trial, so no trial builds one. Each worker keeps one PCG64 and
-sets it, trial by trial, to the state default_rng([seed, trial]) starts
-from. _trial_states derives those states in batches of at most _SEED_BATCH
-trials: a vectorized copy of numpy's SeedSequence hashes the entropy words
-[seed, trial] of the whole batch as uint32 arrays, and PCG64's seeding
-(srandom_r) turns each 4 x 64-bit output into a (state, inc) pair with
-Python ints. A test ties every step to numpy's own SeedSequence and PCG64.
+100-step trial, so no trial builds one. _trial_states derives the state
+default_rng([seed, trial]) starts from in batches of at most _SEED_BATCH
+trials, as lanes: one uint64 array entry a trial for each of state_hi,
+state_lo, inc_hi and inc_lo. A vectorized copy of numpy's SeedSequence
+hashes the entropy words [seed, trial] of the whole batch as uint32
+arrays, and PCG64's seeding (srandom_r) is one 128-bit add and one lane
+step. PCG64 (O'Neill, HMC-CS-2014-0905) is the 128-bit LCG
+state <- state * MULT + inc with the XSL-RR output rotr64(hi ^ lo, hi >> 58),
+and _step and _doubles run it on the lanes: the 64 x 64 -> 128-bit product
+from 32-bit limbs, the carry of the add by comparison, and each output
+as (x >> 11) * 2**-53, the double Generator.random() returns. Tests tie
+every lane, and every draw, to numpy's own SeedSequence and PCG64.
 
 A draw u in [0, 1) picks the term searchsorted(cum, u, side="right") of
 the cumulative weights cum (cum[-1] forced to 1.0). u lies in bucket
@@ -24,10 +29,21 @@ boundary splits (g[b + 1] == g[b]) picks term g[b]. Draws count in an int64
 histogram: in their bucket's slot, or, in a split bucket, searched and in
 slot M + their term. A block's end folds the histogram by term.
 
-Each worker fills one buffer of _CHUNK doubles from its trials' PCG64
-streams, in slices that change no draw, and counts it when full. Setting a
-trial's state holds the GIL, so trials under _LONG_TRIAL steps run on one
-worker: on 2 vCPUs a second one slowed 1,000-step trials by 10-20%.
+A batch whose trials are short enough draws in lock-step: each step
+advances every lane once and counts the lanes' doubles, so no buffer
+grows with the steps. A lane's draw costs some d more than one of numpy's;
+a lane step's fixed part costs about _LANE_SETUP * d, and setting numpy's
+PCG64 to one trial's state about _LANE_TRIAL * d (fitted on 2 vCPUs). So a
+batch of L trials of S steps runs as lanes when
+S * (L + _LANE_SETUP) < _LANE_TRIAL * L: below about 225 steps at 4,096
+lanes and 100 at 1,024. Any other batch sets one PCG64 to each lane's state
+in turn and fills a buffer of _CHUNK doubles from the trials' streams, in
+slices that change no draw, counting it when full. Both hold the GIL for
+most of their time, so trials under _LONG_TRIAL steps run on one worker:
+on 2 vCPUs a second one slowed 1,000-step trials by 10-20%, and 10,000
+trials of 100 steps as two workers of 5,000 took 58 ms against 23 ms on
+one. One worker runs in the calling thread, with no pool: a pool of one
+raised the peak RSS of the sample command by about 0.25 MB.
 """
 
 from __future__ import annotations
@@ -46,8 +62,10 @@ __all__ = ["SampleReport", "run_trials", "sample_indices"]
 
 _CHUNK = 1 << 16  # draws per buffer, so memory does not grow with the step count
 _GUIDE_MAX = 1 << 18  # the most buckets M: a power of two, so that u * M and b / M are exact
+_LANE_TRIAL = 400  # a generator set-up per trial, in a lane draw's extra cost
+_LANE_SETUP = 3200  # a lane step's fixed cost, in a lane draw's extra cost
 _LONG_TRIAL = 4000  # steps per trial from which a second worker saves more than it costs
-_SEED_BATCH = 512  # trials whose states are derived together, so memory does not grow with them
+_SEED_BATCH = 4096  # trials whose states are derived together, so memory does not grow with them
 
 # numpy's SeedSequence: a pool of four uint32 words, hashed and mixed. Every
 # operand of its arithmetic is a uint32 array or np.uint32, so the products
@@ -58,9 +76,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashes the entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashes the pool into the output
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier, for its seeding step srandom_r
+# PCG64's 128-bit LCG multiplier, in 64-bit halves, and the 32-bit limbs
+# B1, B0 of its low half; every lane operand is a uint64 array or np.uint64
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_B1, _B0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63 = map(np.uint64, (1, 11, 32, 58, 63))
 
 
 @dataclass(frozen=True)
@@ -151,8 +173,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _XSHIFT)
 
 
-def _seed_batch(seed_words: list[int], lo: int, hi: int) -> Iterator[dict]:
-    """PCG64(SeedSequence([seed, t])).state for lo <= t < hi, which share t >> 32."""
+def _seed_sequence(seed_words: list[int], lo: int, hi: int) -> list[np.ndarray]:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for lo <= t < hi (same t >> 32)."""
     size = hi - lo
 
     def column(word: int) -> np.ndarray:
@@ -181,27 +203,74 @@ def _seed_batch(seed_words: list[int], lo: int, hi: int) -> Iterator[dict]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, constants))
     # SeedSequence.generate_state(4, np.uint64): eight words cycling over
-    # the pool, paired little-endian into 64-bit words
+    # the pool, paired little-endian: word 2k is output k's low half, and
+    # word 2k + 1 its high half
     constants = _hash_constants(_INIT_B, _MULT_B)
-    out = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    shift = np.uint64(32)
-    words = [(out[k] | out[k + 1] << shift).tolist() for k in range(0, 8, 2)]
-    # states are built as trials use them: a list of a batch's state dicts
-    # takes 0.36 MB per worker, its words 0.14 MB
-    for s_hi, s_lo, i_hi, i_lo in zip(*words):
-        # PCG64's srandom_r: inc = 2 * initseq + 1; two LCG steps from 0 with initstate added
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    words = (_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8))
+    return [word | next(words) << _U32 for word in words]
 
 
-def _trial_states(seed: int, trials: range) -> Iterator[dict]:
-    """The state default_rng([seed, t]) starts from, for each t in trials.
+def _seed_batch(seed_words: list[int], lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The lanes of PCG64(SeedSequence([seed, t])) for lo <= t < hi, which share t >> 32."""
+    # PCG64 seeds from the 64-bit words of initstate and initseq, high word first
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence(seed_words, lo, hi)
+    # PCG64's srandom_r: inc = 2 * initseq + 1, then two steps from state 0
+    # with initstate added between them; the first step leaves inc
+    q_hi <<= _U1
+    q_hi |= q_lo >> _U63
+    q_lo <<= _U1
+    q_lo |= _U1
+    s_lo += q_lo
+    s_hi += q_hi
+    s_hi += s_lo < q_lo
+    lanes = s_hi, s_lo, q_hi, q_lo
+    _step(lanes)
+    return lanes
+
+
+def _step(lanes: tuple[np.ndarray, ...]) -> None:
+    """One PCG64 step of every lane, in place: state <- state * MULT + inc mod 2**128."""
+    s_hi, s_lo, i_hi, i_lo = lanes
+    # the high word of s_lo * MULT_LO from 32-bit limbs a1, a0 of s_lo, with
+    # no partial sum past 2**64; each product is taken in place of its limb
+    a0, a1 = s_lo & _LOW32, s_lo >> _U32
+    mid = a0 * _B0
+    mid >>= _U32
+    mid += a1 * _B0
+    a0 *= _B1
+    a0 += mid & _LOW32
+    a0 >>= _U32
+    mid >>= _U32
+    a1 *= _B1
+    a1 += mid
+    a1 += a0
+    s_hi *= _MULT_LO
+    s_hi += s_lo * _MULT_HI
+    s_hi += a1
+    s_hi += i_hi
+    s_lo *= _MULT_LO
+    s_lo += i_lo
+    s_hi += s_lo < i_lo
+
+
+def _doubles(lanes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Generator.random() of every lane's state: XSL-RR output x, then (x >> 11) * 2**-53."""
+    s_hi, s_lo = lanes[:2]
+    x = s_hi ^ s_lo
+    # rotate right by the top six bits r: x >> r | (x << 1) << 63 - r
+    r = ~s_hi
+    r >>= _U58
+    y = x << _U1
+    y <<= r
+    r ^= _U63
+    x >>= r
+    x |= y
+    x >>= _U11
+    return x * 2.0**-53
+
+
+def _trial_states(seed: int, trials: range) -> Iterator[tuple[np.ndarray, ...]]:
+    """The lanes default_rng([seed, t]) starts from, for t in trials, a batch at a time.
 
     A batch holds at most _SEED_BATCH trials and never crosses a multiple
     of 2**32, so its trials differ only in their low entropy word.
@@ -210,8 +279,47 @@ def _trial_states(seed: int, trials: range) -> Iterator[dict]:
     lo, hi = trials.start, trials.stop
     while lo < hi:
         top = min(hi, lo + _SEED_BATCH, ((lo >> 32) + 1) << 32)
-        yield from _seed_batch(seed_words, lo, top)
+        yield _seed_batch(seed_words, lo, top)
         lo = top
+
+
+def _count_lanes(table: _GuideTable, lanes: tuple, steps: int, hist: np.ndarray) -> None:
+    """Add the slots of each lane's first steps draws to hist, a step of every lane at a time."""
+    slots = np.empty(len(lanes[0]), dtype=np.intp)
+    for _ in range(steps):
+        _step(lanes)
+        hist += np.bincount(table.slots(_doubles(lanes), slots), minlength=len(hist))
+
+
+def _count_trials(table: _GuideTable, lanes: tuple, steps: int, hist: np.ndarray) -> None:
+    """Add the slots of each lane's first steps draws to hist, a trial at a time.
+
+    One PCG64 is set to each lane's state in turn, and one buffer takes the
+    draws of every trial, in slices that change no draw.
+    """
+    buf = np.empty(min(_CHUNK, len(lanes[0]) * steps))
+    slots = np.empty(len(buf), dtype=np.intp)
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    pos = 0
+    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in lanes)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        left = steps
+        while left:
+            take = min(left, len(buf) - pos)
+            rng.random(out=buf[pos : pos + take])
+            pos += take
+            left -= take
+            if pos == len(buf):
+                hist += np.bincount(table.slots(buf, slots), minlength=len(hist))
+                pos = 0
+    if pos:
+        hist += np.bincount(table.slots(buf[:pos], slots[:pos]), minlength=len(hist))
 
 
 def run_trials(
@@ -235,33 +343,23 @@ def run_trials(
 
     def block(trials: range) -> np.ndarray:
         hist = np.zeros(len(table.terms), dtype=np.int64)
-        # one buffer for the draws of every trial in the block, and their slots
-        buf = np.empty(min(_CHUNK, len(trials) * steps_per_trial))
-        slots = np.empty(len(buf), dtype=np.intp)
-        # one generator per worker, set to each trial's state before its draws
-        bit_generator = np.random.PCG64()
-        rng = np.random.Generator(bit_generator)
-        pos = 0
-        for state in _trial_states(seed, trials):
-            bit_generator.state = state
-            left = steps_per_trial
-            while left:
-                take = min(left, len(buf) - pos)
-                rng.random(out=buf[pos : pos + take])
-                pos += take
-                left -= take
-                if pos == len(buf):
-                    hist += np.bincount(table.slots(buf, slots), minlength=len(hist))
-                    pos = 0
-        if pos:
-            hist += np.bincount(table.slots(buf[:pos], slots[:pos]), minlength=len(hist))
+        for lanes in _trial_states(seed, trials):
+            size = len(lanes[0])
+            # lanes cost less than a generator set per trial (see the module docstring)
+            if steps_per_trial * (size + _LANE_SETUP) < _LANE_TRIAL * size:
+                _count_lanes(table, lanes, steps_per_trial, hist)
+            else:
+                _count_trials(table, lanes, steps_per_trial, hist)
         return table.fold(hist)
 
     # more workers than trials or cores adds threads and no speed, and so do short trials
     workers = min(threads, n_trials, os.cpu_count() or 1) if steps_per_trial >= _LONG_TRIAL else 1
     bounds = [n_trials * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        totals = sum(pool.map(block, map(range, bounds[:-1], bounds[1:])))
+    if workers == 1:
+        totals = block(range(n_trials))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            totals = sum(pool.map(block, map(range, bounds[:-1], bounds[1:])))
     return SampleReport(
         channel=channel,
         seed=seed,

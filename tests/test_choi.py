@@ -101,6 +101,15 @@ def test_renyi_entropy_refuses_non_finite_entries():
                 renyi_entropy(np.array([[bad, 0.0], [0.0, 1.0]]), p)
 
 
+def test_renyi_entropy_checks_an_array_as_a_state():
+    # eigvalsh reads the lower triangle of the first, the entropy of I/2;
+    # the second has trace 4, and its entropy would be negative
+    for bad, message in (([[0.5, 5.0], [0.0, 0.5]], "not Hermitian"), (2 * np.eye(2), "trace")):
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(ValueError, match=message):
+                renyi_entropy(np.array(bad), p)
+
+
 def test_renyi_entropy_of_a_pure_state_is_positive_zero():
     # a negative factor p / (1 - p) times ln 1 would be -0.0, which JSON writes
     for label in ("0", "01", "110"):

@@ -126,6 +126,18 @@ def test_effective_refuses_mass_just_past_unity():
     assert err.value.over_mass == pytest.approx(5e-10, rel=1e-3)
 
 
+def test_effective_refuses_a_nan_step_mass():
+    # a NaN mass makes the realized total NaN, which no weight sum may be
+    steps = (EncodingStep(0, parse("XZ"), math.nan, ()),)
+    result = EncodingResult(
+        "fixed", PauliChannel(FOUR_WAY), PauliChannel(SYM_NOISE), steps, {}, math.nan,
+        STOP_MAX_ITERS,
+    )
+    with pytest.raises(OverEncodedError) as err:
+        effective_channel(result)
+    assert math.isnan(err.value.encoded_mass)
+
+
 def test_effective_channel_of_adaptive_run():
     result = encode_adaptive(PauliChannel(FOUR_WAY), PauliChannel(SYM_NOISE), tol=0.1)
     eff = effective_channel(result)

@@ -96,6 +96,13 @@ CASES = {
          "--steps", "200003", "--threads", "2", "--out", "{out}"],
         {"out": "ab5b66a88e06d2bf913be16ffc58b1220b44e046401dc6f2e9c93480e97bd691"},
     ),
+    # of 4,500 trials of 100 steps, a batch of 4,096 draws as lanes and the
+    # other 404 through numpy's PCG64; the digest predates the lanes
+    "sample-lanes": (
+        ["sample", "--channel", "{target}", "--seed", "11", "--trials", "4500",
+         "--steps", "100", "--threads", "2", "--out", "{out}"],
+        {"out": "05bad7c3cd1dc0d4b0ca2ae0d285172fdfced3cfb8d4ef7bc2bba7e14ebbce93"},
+    ),
     "cluster-16q": (
         ["cluster", "--node", NODE16, "--generators", *GENERATORS16, "--out", "{out}"],
         {"out": "033468ad3a9d9482991c220720bc727f796f5ef924c4bef3be246a48f79e7778"},

@@ -97,15 +97,55 @@ def trial_ranges(draw):
 @example(2**96 + 5, range(2**64 - 2, 2**64 + 2))
 @settings(max_examples=40, deadline=None)
 def test_trial_states_match_numpy(seed, trials):
-    states = list(sampling._trial_states(seed, trials))
+    # every batch is four uint64 lane arrays: state_hi, state_lo, inc_hi, inc_lo
+    states = []
+    for lanes in sampling._trial_states(seed, trials):
+        assert [w.dtype for w in lanes] == [np.uint64] * 4
+        s_hi, s_lo, i_hi, i_lo = (w.tolist() for w in lanes)
+        states += [(sh << 64 | sl, ih << 64 | il) for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo)]
     assert len(states) == len(trials)
-    for trial, state in zip(trials, states):
-        assert state == _numpy_state(seed, trial), (seed, trial)
+    for trial, (state, inc) in zip(trials, states):
+        expected = _numpy_state(seed, trial)["state"]
+        assert (state, inc) == (expected["state"], expected["inc"]), (seed, trial)
+
+
+@given(seeds, trial_ranges(), st.integers(1, 5))
+@example(2**32, range(2**32 - 3, 2**32 + 3), 5)
+@example(2**96 + 5, range(2**64 - 2, 2**64 + 2), 3)
+@settings(max_examples=30, deadline=None)
+def test_lane_draws_match_numpy(seed, trials, steps):
+    # each lane step's doubles are, lane by lane, the next draw of default_rng([seed, t])
+    batches = []
+    for lanes in sampling._trial_states(seed, trials):
+        draws = []
+        for _ in range(steps):
+            sampling._step(lanes)
+            draws.append(sampling._doubles(lanes))
+        batches.append(np.column_stack(draws))
+    got = np.concatenate(batches)
+    assert got.shape == (len(trials), steps)
+    for trial, row in zip(trials, got):
+        expected = np.random.default_rng([seed, trial]).random(steps)
+        assert np.array_equal(row, expected), (seed, trial)
+
+
+@pytest.mark.parametrize("lanes", ["always", "never"])
+def test_lanes_on_and_off_give_the_oracle_counts(monkeypatch, lanes):
+    # the lane rule forced either way; at 2 and 3 threads a block starts off the batch grid
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sampling, "_LONG_TRIAL", 1)
+    monkeypatch.setattr(sampling, "_LANE_TRIAL", 2**62 if lanes == "always" else 0)
+    for n_trials, steps, threads in ((BATCH + 1, 3, 1), (2 * BATCH + 5, 2, 3), (BATCH - 1, 4, 2)):
+        report = run_trials(
+            CHANNEL, seed=6, n_trials=n_trials, steps_per_trial=steps, threads=threads
+        )
+        assert report.counts == _oracle_counts(6, n_trials, steps), (n_trials, steps, threads)
 
 
 def test_blocks_that_start_mid_batch(monkeypatch):
     # at 2 and 3 threads a worker's block starts at a trial off the batch grid
-    # (257, 171, 343), and the second batch of threads=1 holds three trials
+    # (2049, 1366, 2732), and the second batch of threads=1 holds three trials,
+    # which the lane rule sends to numpy's PCG64 while the first draws as lanes
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(sampling, "_LONG_TRIAL", 1)
     expected = _oracle_counts(4, BATCH + 3, 7)
@@ -258,10 +298,10 @@ def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
     long, short = sampling._LONG_TRIAL, sampling._LONG_TRIAL - 1
-    # (cores, trials, steps per trial, pool sizes); trials too short to pay
-    # for a second worker run on one
-    for cores, n_trials, steps, pools in (
-        (4, 40, long, [4]), (4, 3, long, [3]), (None, 40, long, [1]), (4, 40, short, [1])
+    # (cores, trials, steps per trial, workers); trials too short to pay
+    # for a second worker run on one, in the calling thread with no pool
+    for cores, n_trials, steps, workers in (
+        (4, 40, long, 4), (4, 3, long, 3), (None, 40, long, 1), (4, 40, short, 1)
     ):
         requested.clear()
         blocks.clear()
@@ -269,11 +309,12 @@ def test_worker_count_is_bounded_by_trials_and_cores(monkeypatch):
         report = run_trials(
             CHANNEL, seed=3, n_trials=n_trials, steps_per_trial=steps, threads=100_000
         )
-        assert requested == pools
-        # one nonempty contiguous range per worker, covering every trial once
-        (ranges,) = blocks
-        assert len(ranges) == pools[0] and all(len(r) > 0 for r in ranges)
-        assert [t for r in ranges for t in r] == list(range(n_trials))
+        assert requested == ([workers] if workers > 1 else [])
+        if workers > 1:
+            # one nonempty contiguous range per worker, covering every trial once
+            (ranges,) = blocks
+            assert len(ranges) == workers and all(len(r) > 0 for r in ranges)
+            assert [t for r in ranges for t in r] == list(range(n_trials))
         assert report.counts == _oracle_counts(3, n_trials, steps)
 
 
