@@ -117,7 +117,7 @@ class PauliChannel:
     and sum to one within 1e-12.
     """
 
-    __slots__ = ("n_qubits", "terms", "_weights")
+    __slots__ = ("n_qubits", "terms")
 
     def __init__(self, terms: Iterable[tuple[float, PauliString]]) -> None:
         # keyed by text, which names one string and whose hash a str caches
@@ -142,14 +142,10 @@ class PauliChannel:
             raise ValueError(f"weights sum to {total!r}, not 1")
         self.n_qubits = ns.pop()
         self.terms = tuple((w, s) for w, s in merged if w != 0.0)
-        self._weights = {s.text: w for w, s in self.terms}
 
     @property
     def support(self) -> tuple[PauliString, ...]:
         return tuple(s for _, s in self.terms)
-
-    def weight(self, string: PauliString) -> float:
-        return self._weights.get(string.text, 0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliChannel):

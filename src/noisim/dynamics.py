@@ -72,7 +72,8 @@ __all__ = [
 
 # Gamma, a step's O and a channel's lam are 2n x 2n floats: 8 MiB each at the cap
 CHAIN_SITE_CAP = 512
-# kept for callers that pick a step method by chain size: the exact step runs at every size
+# kept because the benchmark harness's perfbench/tracing.py imports it to pick a step
+# method by chain size; the exact step runs at every size
 EXACT_SITE_CAP = CHAIN_SITE_CAP
 # rounding allowance per step in the benchmark's gap bound
 GAP_SLACK_PER_STEP = 1e-12
@@ -349,11 +350,17 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
         raise ValueError(
             f"initial label {cfg.initial!r} has {len(cfg.initial)} sites, expected {cfg.n_sites}"
         )
-    # checked before the encoder runs, so a bad chain, label or step count costs no encoding
+    # checked before the encoder runs, so a bad chain, label, step count or time costs no encoding
     steps = (_step_rotation(trotter_step_unitaries(
         cfg.n_sites, cfg.omega0, cfg.coupling, cfg.dt, method=cfg.step_method
     )),)
     _initial_correlations(cfg.initial, cfg.n_steps)
+    try:  # the last row's time; a step count too large for a float overflows too
+        last = cfg.n_steps * cfg.dt
+    except OverflowError:
+        last = math.inf
+    if not math.isfinite(last):
+        raise ValueError(f"n_steps * dt overflows: n_steps={cfg.n_steps}, dt={cfg.dt!r}")
     encoding = encode(
         cfg.target, cfg.noise,
         mode=cfg.encoder, node=cfg.node, tol=cfg.tol, max_iters=cfg.max_iters,

@@ -10,7 +10,7 @@ CSV rows stream: write_csv reads them once, under the first row's headers,
 and benchmark_rows and sample_rows yield one row at a time, so a benchmark
 run holds its occupation arrays, not a dict per row.
 
-JSON is written by one emitter whose output equals
+JSON is written by one emitter, write_json's, whose output equals
 json.dumps(indent=2, sort_keys=True). It streams into the temp file, and a
 container takes one of four paths: an empty one is spelled like a scalar; a
 list of dicts that share one key set and hold only scalars (channel terms,
@@ -20,29 +20,32 @@ its items as it goes, so the document is never held as one string. A
 scalar's text is a function of its value alone; the only memo is the
 document's quoted `"key": ` texts.
 
-write_encoding copies no step's ledger. It keeps one list of the ledger's
-`"key": value` texts in key order, re-spells the entries each step changed
-without comparing values (0.0 == -0.0 spell apart) and joins it once per
-step; a step not chained onto the one before is spelled whole.
-
-write_cluster makes no str per member. It writes the members' lines as
-bytes, straight from the cluster's letter rows, in chunks of about
-_CHUNK_BYTES.
+A field too large to build is a _Streamed: the emitter counts it as a
+container and calls it with itself where the field sits. write_encoding
+hands write_json its fields with the steps streamed, and copies no step's
+ledger: it keeps one list of the ledger's `"key": value` texts in key
+order, re-spells the entries each step changed without comparing values
+(0.0 == -0.0 spell apart) and joins it once per step; a step not chained
+onto the one before is spelled whole. write_cluster streams the members and
+makes no str per member: their lines go out as bytes, straight from the
+cluster's letter rows, in chunks of about _CHUNK_BYTES.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import tempfile
 from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import sub
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -126,23 +129,33 @@ def _names(value: dict) -> list:
         return [k for k in value if not isinstance(k, str)]
 
 
+class _Streamed(partial):
+    """A field too large to build: called with the emitter, it writes its text where it sits."""
+
+
+# what the emitter writes item by item, never through json's C encoder
+_CONTAINERS = (dict, list, tuple, _Streamed)
+
+
 class _Emitter:
-    """Writes one document as json.dumps(indent=2, sort_keys=True) writes it,
-    in the ways the module docstring lists. Raises TypeError on a non-str key
-    or a value that is not a str, int, float, bool, None, list, tuple or dict.
+    """Writes one document to `fh` as json.dumps(indent=2, sort_keys=True)
+    writes it, in the ways the module docstring lists. Raises TypeError on a
+    non-str key or a value that is not a str, int, float, bool, None, list,
+    tuple, dict or _Streamed.
     """
 
-    def __init__(self, write: Callable[[str], Any]) -> None:
-        self.write = write
+    def __init__(self, fh: TextIO) -> None:
+        self.fh = fh
+        self.write = fh.write
         self.keys = _KeyTexts()
 
     def spell(self, value: Any, indent: str) -> str:
         """json's text of `value` as an item at `indent`."""
         if not isinstance(value, (dict, list, tuple)):
             return _text(value)
-        parts: list[str] = []
-        _Emitter(parts.append).emit(value, indent)
-        return "".join(parts)
+        text = io.StringIO()
+        _Emitter(text).emit(value, indent)
+        return text.getvalue()
 
     def template(self, names: Iterable[str], indent: str) -> str:
         """A %-template of a dict at `indent` whose keys are `names`, in that order."""
@@ -160,13 +173,16 @@ class _Emitter:
         texts = []
         for name in names:
             column = [item[name] for item in items]
-            if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, column))):
+            if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, column))):
                 return None
             texts.append(map(_text, column))
         template = self.template(names, indent)
         return (",\n" + indent).join(map(template.__mod__, zip(*texts)))
 
     def emit(self, value: Any, indent: str) -> None:
+        if isinstance(value, _Streamed):
+            value(self)
+            return
         if not isinstance(value, (dict, list, tuple)) or not value:
             self.write(_text(value))
             return
@@ -175,7 +191,7 @@ class _Emitter:
         is_dict = isinstance(value, dict)
         opening, closing = ("{\n", "}") if is_dict else ("[\n", "]")
         kinds = set(map(type, value.values() if is_dict else value))
-        nested = any(issubclass(kind, (dict, list, tuple)) for kind in kinds)
+        nested = any(issubclass(kind, _CONTAINERS) for kind in kinds)
         # json's C encoder sorts and quotes str keys itself; a dict with any
         # other key takes the path below, which refuses it
         if not nested and (not is_dict or all(issubclass(kind, str) for kind in set(map(type, value)))):
@@ -202,7 +218,7 @@ class _Emitter:
 
 def write_json(data: Any, path: str | os.PathLike) -> None:
     with _atomic_open(path) as fh:
-        _Emitter(fh.write).emit(data, "")
+        _Emitter(fh).emit(data, "")
         fh.write("\n")
 
 
@@ -337,18 +353,7 @@ def encoding_to_dict(result: EncodingResult) -> dict:
 
 def write_encoding(result: EncodingResult, path: str | os.PathLike) -> None:
     """Write `result` as write_json(encoding_to_dict(result), path) does, copying no ledger."""
-    fields = _encoding_dict(result, result.steps)
-    with _atomic_open(path) as fh:
-        emitter = _Emitter(fh.write)
-        lead = "{\n  "
-        for name in sorted(fields):
-            fh.write(lead + emitter.keys[name])
-            if name == "steps":
-                _write_steps(emitter, result.steps)
-            else:
-                emitter.emit(fields[name], "  ")
-            lead = ",\n  "
-        fh.write("\n}\n")
+    write_json(_encoding_dict(result, _Streamed(_write_steps, steps=result.steps)), path)
 
 
 def _write_steps(emitter: _Emitter, steps: tuple[EncodingStep, ...]) -> None:
@@ -396,27 +401,16 @@ def cluster_to_dict(cluster: Cluster) -> dict:
 def write_cluster(cluster: Cluster, path: str | os.PathLike) -> None:
     """Write `cluster` as write_json(cluster_to_dict(cluster), path) does,
     spelling its members from its letter rows, never one str per member."""
-    fields = _cluster_dict(cluster, None)
-    with _atomic_open(path) as fh:
-        emitter = _Emitter(fh.write)
-        lead = "{\n  "
-        for name in sorted(fields):
-            fh.write(lead + emitter.keys[name])
-            if name == "members":
-                fh.write("[\n")
-                _write_members(fh, cluster)
-                fh.write("\n  ]")
-            else:
-                emitter.emit(fields[name], "  ")
-            lead = ",\n  "
-        fh.write("\n}\n")
+    write_json(_cluster_dict(cluster, _Streamed(_write_members, cluster=cluster)), path)
 
 
-def _write_members(fh: TextIO, cluster: Cluster) -> None:
-    """The members' lines `    "TEXT",` as bytes, the last one's `,` and
-    newline left out. Whole lines are written in chunks of about _CHUNK_BYTES,
-    each one array of rows: a constant lead column, the letters and a
-    constant end column."""
+def _write_members(emitter: _Emitter, cluster: Cluster) -> None:
+    """The members' list as write_json writes it at the document's second
+    level, its lines `    "TEXT",` as bytes, the last one's `,` and newline
+    left out. Whole lines are written in chunks of about _CHUNK_BYTES, each
+    one array of rows: a constant lead column, the letters and a constant end
+    column."""
+    fh = emitter.fh
     n = cluster.node.n_qubits
     letters = np.frombuffer(cluster.letters, dtype=np.uint8).reshape(-1, n)
     lead, end = b'    "', b'",\n'
@@ -424,6 +418,7 @@ def _write_members(fh: TextIO, cluster: Cluster) -> None:
     lines = np.empty((min(len(letters), max(1, _CHUNK_BYTES // width)), width), dtype=np.uint8)
     lines[:, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
     lines[:, len(lead) + n :] = np.frombuffer(end, dtype=np.uint8)
+    fh.write("[\n")
     fh.flush()  # the text written so far goes first
     for first in range(0, len(letters), len(lines)):
         chunk = letters[first : first + len(lines)]
@@ -431,6 +426,7 @@ def _write_members(fh: TextIO, cluster: Cluster) -> None:
         block = lines[: len(chunk)].reshape(-1).data
         last = first + len(chunk) == len(letters)
         fh.buffer.write(block[:-2] if last else block)  # the last line stops at its quote
+    fh.write("\n  ]")
 
 
 def certificate_to_dict(report: CertificateReport) -> dict:

@@ -16,6 +16,7 @@ conjugates a dense state by each factor and applies the channel term by
 term, are the oracles for the Majorana correlation-matrix evolution in
 `dynamics`; `majorana_rotation` reads a dense gate's 2n x 2n rotation and
 `majorana_generator` a dense Hamiltonian's 2n x 2n generator.
+`channel_weight` reads one string's weight off a channel's terms.
 """
 
 import math
@@ -131,6 +132,11 @@ def text_oracle(n: int, x_mask: int, z_mask: int) -> str:
 
 def all_texts(n: int) -> list[str]:
     return ["".join(p) for p in product("IXYZ", repeat=n)]
+
+
+def channel_weight(channel: PauliChannel, text: str) -> float:
+    """The weight `channel` puts on the string spelled `text`; 0.0 off its support."""
+    return next((w for w, s in channel.terms if s.text == text), 0.0)
 
 
 def apply_channel_dense(terms, rho: np.ndarray) -> np.ndarray:

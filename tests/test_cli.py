@@ -489,6 +489,8 @@ def test_bad_chain_is_refused_before_encoding(tmp_path, capsys, monkeypatch):
         ["--config", auto],
         ["--initial", "1x"],
         ["--n-steps", "-1"],
+        # finite phases, but the last row's time, 3 * 1e308, is not finite
+        ["--dt", "1e308", "--n-steps", "3"],
     ):
         calls.clear()
         code = main(["benchmark", *argv, "--out", str(out)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     apply_channel_dense,
+    channel_weight,
     dense_chain_parts,
     dense_trotter_factors,
     expm_dense,
@@ -338,6 +339,20 @@ def test_benchmark_fixed_encoder_and_errors():
         run_benchmark(BenchmarkConfig(target=cfg.target, noise=cfg.noise, initial="101"))
 
 
+def test_benchmark_refuses_times_that_overflow(monkeypatch):
+    import noisim.dynamics
+
+    # every phase is finite at dt = 1e308; the last time of three steps is not
+    monkeypatch.setattr(noisim.dynamics, "encode", None)  # refused before encoding
+    target, noise = default_target_channel(), default_noise_channel()
+    for n_steps, dt in ((3, 1e308), (2, 1e308), (10**400, 0.05)):
+        with pytest.raises(ValueError, match=r"n_steps \* dt overflows"):
+            run_benchmark(BenchmarkConfig(target=target, noise=noise, dt=dt, n_steps=n_steps))
+    monkeypatch.undo()
+    result = run_benchmark(BenchmarkConfig(target=target, noise=noise, dt=1e308, n_steps=1))
+    assert result.times.tolist() == [0.0, 1e308]
+
+
 def test_benchmark_gap_stays_within_its_bound():
     # each row's gap is at most t * delta / 2; the fixed rule at node XZ comes
     # within a factor of 0.6 of it at every tol, so the bound is not vacuous
@@ -398,13 +413,13 @@ def test_channel_map_is_built_once_per_call(monkeypatch):
 def test_scale_channel_weights():
     ch = default_target_channel()
     half = scale_channel_weights(ch, 0.5)
-    assert half.weight(parse("XZ")) == pytest.approx(0.015)
-    assert half.weight(parse("IY")) == pytest.approx(0.01)
-    assert half.weight(parse("II")) == pytest.approx(0.975)
+    assert channel_weight(half, "XZ") == pytest.approx(0.015)
+    assert channel_weight(half, "IY") == pytest.approx(0.01)
+    assert channel_weight(half, "II") == pytest.approx(0.975)
     gone = scale_channel_weights(ch, 0.0)
     assert gone.terms == ((1.0, parse("II")),)
     no_id = scale_channel_weights(PauliChannel([(0.5, "X"), (0.5, "Z")]), 0.4)
-    assert no_id.weight(parse("I")) == pytest.approx(0.6)
+    assert channel_weight(no_id, "I") == pytest.approx(0.6)
     with pytest.raises(ValueError):
         scale_channel_weights(ch, -0.5)
     with pytest.raises(ValueError, match="factor >= 0, got nan"):
@@ -418,5 +433,5 @@ def test_default_channels_are_ratio_matched():
     # the noise channel's XX share equals the target's XZ:IY split
     target = default_target_channel()
     noise = default_noise_channel()
-    xz, iy = target.weight(parse("XZ")), target.weight(parse("IY"))
-    assert iy / (xz + iy) == pytest.approx(noise.weight(parse("XX")))
+    xz, iy = channel_weight(target, "XZ"), channel_weight(target, "IY")
+    assert iy / (xz + iy) == pytest.approx(channel_weight(noise, "XX"))

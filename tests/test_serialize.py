@@ -15,7 +15,7 @@ from noisim import serialize
 from noisim.channels import PauliChannel
 from noisim.choi import theorem1_check
 from noisim.channels import DensityMatrix
-from noisim.clusters import analyze_cluster
+from noisim.clusters import Cluster, analyze_cluster
 from noisim.dynamics import (
     BenchmarkConfig,
     BenchmarkResult,
@@ -522,6 +522,24 @@ def test_write_cluster_matches_write_json(tmp_path, monkeypatch, case, chunk_byt
     write_json(cluster_to_dict(cluster), by_dict)
     assert by_cluster.read_bytes() == by_dict.read_bytes()
     assert by_cluster.read_text() == _dumps(cluster_to_dict(cluster))
+
+
+def test_failed_streamed_writes_keep_the_target_and_leave_no_temp(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"kept": [1.5, -0.0]}, path)
+    before = path.read_bytes()
+    # enough finished steps ahead of the set that the stream has reached the temp file
+    steps = _chain({"XZ": 0.5}, *({"XZ": float(i)} for i in range(2000)), {"ZZ": {1, 2}})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_encoding(_result(steps), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.json"]
+    # five letters do not split into members of two
+    cluster = Cluster(parse("XZ"), b"IXIYZ", 0, 1, True, 0.0)
+    with pytest.raises(ValueError, match="reshape"):
+        write_cluster(cluster, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def test_benchmark_and_sample_rows():
