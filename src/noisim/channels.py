@@ -105,6 +105,10 @@ class DensityMatrix:
         rho.matrix = arr
         return rho
 
+    def __reduce__(self) -> tuple:
+        # a copy of the array is writeable; _known makes it read-only again
+        return DensityMatrix._known, (self.matrix,)
+
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
 

@@ -17,10 +17,11 @@ order, so its pivot bits spell k and the members increase with k. XOR
 doubling over the basis in that order writes them as rows of rank digits,
 already sorted; a lookup turns the rows into letters.
 
-`branching_dimension` counts distinct non-identity neighbours reachable in
-one product from the node; `cluster_dimension` is the orbit size. A cluster
-is all-to-all when one step already reaches the whole orbit, in which case
-the subspace leakage entropy ln(cluster / (branching + 1)) vanishes.
+A `Cluster` stores its node, its members' letters and `branching_dimension`,
+the count of distinct non-identity neighbours one product from the node; the
+rest is read off them. `cluster_dimension` is the orbit size. A cluster is
+all-to-all when one step already reaches the whole orbit, in which case the
+subspace leakage entropy ln(cluster / (branching + 1)) vanishes.
 """
 
 from __future__ import annotations
@@ -44,37 +45,36 @@ _RANK_DIGITS = str.maketrans("IXYZ", "0123")
 
 @dataclass(frozen=True, slots=True)
 class Cluster:
-    """An orbit with its dimensions. `letters` holds the members' texts in
-    text order, n_qubits ASCII letters each, back to back."""
+    """An orbit, stored as its node, its members' texts in text order
+    (n_qubits ASCII letters each, back to back, in `letters`) and its
+    branching dimension; every other value is read off these."""
 
     node: PauliString
     letters: bytes = field(repr=False)
     branching_dimension: int
-    cluster_dimension: int
-    all_to_all: bool
-    leakage_entropy: float
-    _member_texts: tuple[str, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _members: frozenset[PauliString] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    @property
+    def cluster_dimension(self) -> int:
+        return len(self.letters) // self.node.n_qubits
+
+    @property
+    def all_to_all(self) -> bool:
+        return self.cluster_dimension == self.branching_dimension + 1
+
+    @property
+    def leakage_entropy(self) -> float:
+        return log(self.cluster_dimension / (self.branching_dimension + 1))
 
     @property
     def member_texts(self) -> tuple[str, ...]:
-        """The members' texts in sorted order, cut from `letters` when first read."""
-        if self._member_texts is None:
-            n = self.node.n_qubits
-            texts = np.frombuffer(self.letters, dtype=f"S{n}").astype(f"U{n}").tolist()
-            object.__setattr__(self, "_member_texts", tuple(texts))
-        return self._member_texts
+        """The members' texts in sorted order, cut from `letters`."""
+        n = self.node.n_qubits
+        return tuple(np.frombuffer(self.letters, dtype=f"S{n}").astype(f"U{n}").tolist())
 
     @property
     def members(self) -> frozenset[PauliString]:
-        """The orbit's strings, built from their texts when first read."""
-        if self._members is None:
-            object.__setattr__(self, "_members", frozenset(map(parse, self.member_texts)))
-        return self._members
+        """The orbit's strings, built from their texts."""
+        return frozenset(map(parse, self.member_texts))
 
 
 def orbit(
@@ -142,15 +142,7 @@ def analyze_cluster(
         )
     # one-step neighbours, the node and the identity excluded
     d_b = len({start ^ v for v in vectors} - {start, 0})
-    d_c = 1 << len(basis)
     basis.sort()  # distinct leading bits, so ascending values are ascending pivots
     for b in basis:
         start = min(start, start ^ b)
-    return Cluster(
-        node=node,
-        letters=_coset_letters(start, basis, n),
-        branching_dimension=d_b,
-        cluster_dimension=d_c,
-        all_to_all=d_c == d_b + 1,
-        leakage_entropy=log(d_c / (d_b + 1)),
-    )
+    return Cluster(node, _coset_letters(start, basis, n), d_b)

@@ -148,6 +148,11 @@ class EncodingResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "residues", MappingProxyType(dict(self.residues)))
 
+    def __reduce__(self) -> tuple:
+        # a mappingproxy cannot be copied or pickled; __post_init__ wraps the dict again
+        return EncodingResult, (self.mode, self.target, self.noise, self.steps,
+                                dict(self.residues), self.encoded_mass, self.stop_reason)
+
     @property
     def iterations(self) -> int:
         return len(self.steps)

@@ -86,6 +86,8 @@ def test_orbit_matches_bfs_oracle(case):
     assert cluster.cluster_dimension == len(expected)
     images = {multiply(g, node).string for g in generators} - {node, identity(node.n_qubits)}
     assert cluster.branching_dimension == len(images)
+    assert cluster.all_to_all == (len(expected) == len(images) + 1)
+    assert cluster.leakage_entropy == math.log(len(expected) / (len(images) + 1))
 
 
 @st.composite

@@ -1,8 +1,10 @@
+import copy
 import csv
 import io
 import json
 import math
 import os
+import pickle
 import tracemalloc
 from collections import OrderedDict, namedtuple
 
@@ -535,11 +537,35 @@ def test_failed_streamed_writes_keep_the_target_and_leave_no_temp(tmp_path):
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.json"]
     # five letters do not split into members of two
-    cluster = Cluster(parse("XZ"), b"IXIYZ", 0, 1, True, 0.0)
+    cluster = Cluster(parse("XZ"), b"IXIYZ", 0)
     with pytest.raises(ValueError, match="reshape"):
         write_cluster(cluster, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_records_survive_pickle_and_deepcopy(tmp_path):
+    encoding = encode(default_target_channel(), default_noise_channel(),
+                      mode="fixed", node="XZ", max_iters=6)
+    benchmark = run_benchmark(BenchmarkConfig(target=default_target_channel(),
+                                              noise=default_noise_channel(), n_steps=5))
+    rho = DensityMatrix.from_basis_label("01")
+    records = [parse("XZY"), CHANNEL, analyze_cluster("XZ", ["ZX", "YY"]),
+               theorem1_check(CHANNEL, default_noise_channel(), rho, 2.0),
+               run_trials(CHANNEL, seed=2, n_trials=5, steps_per_trial=10), encoding]
+    for copied in (copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        for record in records:
+            assert copied(record) == record
+        twin = copied(encoding)
+        assert [s.residues for s in twin.steps] == [s.residues for s in encoding.steps]
+        assert _encoding_bytes(twin, tmp_path) == _encoding_bytes(encoding, tmp_path)
+        with pytest.raises(TypeError):
+            twin.residues[parse("II")] = 0.0
+        state = copied(rho)
+        assert np.array_equal(state.matrix, rho.matrix) and not state.matrix.flags.writeable
+        twin = copied(benchmark)
+        assert twin.encoding == benchmark.encoding and twin.config == benchmark.config
+        assert list(benchmark_rows(twin)) == list(benchmark_rows(benchmark))
 
 
 def test_benchmark_and_sample_rows():
